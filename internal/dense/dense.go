@@ -3,7 +3,7 @@
 // Every bookkeeping structure on the routing hot paths (edge occupancy in
 // the verifiers, lane/quota tables in the randomized router, per-node packet
 // groups in detailed routing) is a sparse view over a known, compact integer
-// universe: node×axis×time ids, tile×plane×lane ids, lattice node ids. The
+// universe: w×node×axis link ids, tile×plane×lane ids, grid node ids. The
 // map-based implementations paid a hash per touch — millions per experiment.
 // The types here replace them with flat slices plus an epoch stamp per cell,
 // so clearing between runs (or between simulation steps) is O(1): bump the

@@ -159,10 +159,6 @@ type pkt struct {
 	deliveredAt int64
 }
 
-func (p *pkt) path() *lattice.Path {
-	return &lattice.Path{Start: append([]int(nil), p.start...), Axes: append([]uint8(nil), p.moves...)}
-}
-
 func (p *pkt) part() Part {
 	switch p.phase {
 	case phFirst:
@@ -209,6 +205,9 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 		p.pos = rt.ST.ToLattice(a.Req.Src, a.Req.Arrival, nil)
 		p.node = box.Index(p.pos)
 		p.start = append([]int(nil), p.pos...)
+		if n := rt.ST.G.Dist(a.Req.Src, a.Req.Dst); n > 0 {
+			p.moves = make([]uint8, 0, n)
+		}
 		for j := 1; j < len(a.Route.Axes); j++ {
 			if a.Route.Axes[j] != a.Route.Axes[j-1] {
 				if p.firstBend < 0 {
@@ -261,10 +260,17 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	}
 
 	active := make([]*pkt, 0, len(admitted))
-	// Per-step node grouping uses pooled epoch-stamped buckets over the
-	// box's node ids: no hashing per packet and no per-step map churn.
-	// Bucket chains preserve active order and keys come out in first-seen
-	// order, so grouping is deterministic.
+	// Per-step node grouping uses pooled epoch-stamped buckets: no hashing
+	// per packet and no per-step map churn. Every active packet sits at the
+	// same real time t, and t = w + Σx fixes w once the grid node is known,
+	// so at one step a packet's lattice node is determined by its grid node
+	// alone. The box is row-major with w fastest, which makes the grid node
+	// p.node / wDim, and the buckets span the grid's N nodes rather than the
+	// whole space-time box: a few cache lines per step instead of an array
+	// the size of the box, touched at random. Bucket chains preserve active
+	// order and keys come out in first-seen order, so grouping is
+	// deterministic (and the same as keying by lattice node).
+	wDim := box.Dim(d)
 	groups := bucketsPool.Get().(*dense.Buckets)
 	defer bucketsPool.Put(groups)
 	groupBuf := make([]*pkt, 0, 16)
@@ -284,10 +290,10 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 			continue
 		}
 
-		groups.Reset(box.Size(), len(active))
+		groups.Reset(box.Size()/wDim, len(active))
 		for i, p := range active {
 			p.pending = -1
-			groups.Put(p.node, i)
+			groups.Put(p.node/wDim, i)
 		}
 		for _, key := range groups.Keys() {
 			groupBuf = groupBuf[:0]
@@ -308,12 +314,13 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 			}
 			a := p.pending
 			p.pending = -1
-			nid, ok := box.Step(p.node, a)
-			if !ok {
+			// p.pos tracks p.node, so the box-edge test is a compare, not
+			// the two divisions of box.Step.
+			if p.pos[a]+1 >= box.Hi[a] {
 				drop(p, p.part(), true) // fell off the box/horizon
 				continue
 			}
-			p.node = nid
+			p.node += box.Stride(a)
 			p.pos[a]++
 			p.moves = append(p.moves, uint8(a))
 			p.arrivedVia = a
@@ -333,7 +340,8 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	for i, p := range all {
 		o := &outs[i]
 		o.ReachedLastTile = p.reachedLast
-		o.Path = p.path()
+		// The router is done with start and moves: hand them over as is.
+		o.Path = &lattice.Path{Start: p.start, Axes: p.moves}
 		if p.phase == phDone {
 			o.Delivered = true
 			o.DeliveredAt = p.deliveredAt

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"gridroute/internal/core"
 	"gridroute/internal/engine"
+	"gridroute/internal/fault"
 	"gridroute/internal/grid"
 	"gridroute/internal/ipp"
 	"gridroute/internal/scenario"
@@ -172,11 +174,19 @@ func TestEngineDecisionDeterminismConcurrent(t *testing.T) {
 
 // TestEngineBackpressure checks that a full bounded queue rejects instead of
 // blocking: with a single-slot queue and many producers racing a consumer
-// that does real DP work per packet, some submissions must bounce, and every
-// submission is accounted for exactly once.
+// that is slowed by an injected pause before every decision, some
+// submissions must bounce, and every submission is accounted for exactly
+// once. The pause only delays the loop (it never changes a verdict); it keeps
+// the queue filling however fast the DP becomes, so the bounce path is
+// exercised on every run instead of depending on scheduler timing.
 func TestEngineBackpressure(t *testing.T) {
 	g, reqs, opts := workload(t, 64, 1024, 256, 3)
 	opts.Queue = 1
+	sched, err := fault.Parse(fmt.Sprintf("pause(seq=0,n=%d,dur=100us)", len(reqs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Injector = fault.NewInjector(sched)
 
 	eng, err := engine.New(g, opts)
 	if err != nil {
@@ -219,7 +229,7 @@ func TestEngineBackpressure(t *testing.T) {
 		t.Fatalf("engine counted %d queue-full, producers saw %d", s.RejectedQueueFull, total)
 	}
 	if total == 0 {
-		t.Skip("queue never filled (consumer outpaced 8 producers); backpressure accounting not exercised")
+		t.Fatal("queue never filled despite a paused consumer; backpressure path not exercised")
 	}
 	if s.Submitted != uint64(len(reqs)) {
 		t.Fatalf("submitted %d != %d", s.Submitted, len(reqs))

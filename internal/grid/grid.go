@@ -158,6 +158,11 @@ func (g *Grid) Index(v Vec) int {
 	return id
 }
 
+// Stride returns the id increment of a +1 step along axis i: for v and v+e_i
+// both in the grid, Index(v+e_i) = Index(v) + Stride(i). It lets a walk keep
+// its node id current without re-indexing every point.
+func (g *Grid) Stride(i int) int { return g.stride[i] }
+
 // Node maps a dense id back to a node, writing into out if non-nil.
 func (g *Grid) Node(id int, out Vec) Vec {
 	if out == nil {

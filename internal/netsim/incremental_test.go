@@ -133,3 +133,54 @@ func TestIncrementalWindowGuard(t *testing.T) {
 		t.Fatal("out-of-window schedule must be flagged")
 	}
 }
+
+// TestLinkLayoutWindowEdges overflows the two link cells at the extremes of
+// the untilted layout on a non-square 2-D grid: the lowest w a link can
+// have (a move out of a node with Σx = diam−1 at minT) and the highest (a
+// move out of the origin at maxT−1). Both verifiers must report exactly the
+// same violations, naming the node, axis and real time of each link.
+func TestLinkLayoutWindowEdges(t *testing.T) {
+	g := grid.New([]int{3, 5}, 3, 1) // diam 6; node (2,3) has Σx = 5
+	reqs := []grid.Request{
+		{ID: 0, Src: grid.Vec{2, 3}, Dst: grid.Vec{2, 4}, Arrival: 0, Deadline: grid.InfDeadline},
+		{ID: 1, Src: grid.Vec{2, 3}, Dst: grid.Vec{2, 4}, Arrival: 0, Deadline: grid.InfDeadline},
+		{ID: 2, Src: grid.Vec{0, 0}, Dst: grid.Vec{2, 1}, Arrival: 2, Deadline: grid.InfDeadline},
+		{ID: 3, Src: grid.Vec{0, 0}, Dst: grid.Vec{1, 0}, Arrival: 7, Deadline: grid.InfDeadline},
+		{ID: 4, Src: grid.Vec{0, 0}, Dst: grid.Vec{1, 0}, Arrival: 7, Deadline: grid.InfDeadline},
+	}
+	schedules := []*spacetime.Schedule{
+		mkSchedule(&reqs[0], 1),
+		mkSchedule(&reqs[1], 1),
+		// A bent run through the middle of the window, conflict-free.
+		mkSchedule(&reqs[2], 0, spacetime.Hold, 1, 0),
+		mkSchedule(&reqs[3], 0),
+		mkSchedule(&reqs[4], 0),
+	}
+	want := []string{
+		"link capacity exceeded: node 13 axis 1 t=0: 2 > 1",
+		"link capacity exceeded: node 0 axis 0 t=7: 2 > 1",
+	}
+	minT, maxT := incWindow(schedules)
+	if minT != 0 || maxT != 8 {
+		t.Fatalf("window [%d,%d], want [0,8]", minT, maxT)
+	}
+	for _, model := range []Model{Model1, Model2} {
+		batch := ReplaySchedules(g, reqs, schedules, model)
+		inc := NewIncremental(g, model, minT, maxT)
+		for i := range reqs {
+			if o := inc.Add(&reqs[i], schedules[i]); o != batch.Outcomes[i] || o.Kind != Delivered {
+				t.Fatalf("model %v req %d: incremental %+v vs batch %+v", model, i, o, batch.Outcomes[i])
+			}
+		}
+		for name, got := range map[string][]string{"batch": batch.Violation, "incremental": inc.Violations()} {
+			if len(got) != len(want) {
+				t.Fatalf("model %v %s violations %q, want %q", model, name, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("model %v %s violations %q, want %q", model, name, got, want)
+				}
+			}
+		}
+	}
+}

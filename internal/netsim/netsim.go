@@ -13,6 +13,17 @@
 // Two execution modes exist: replaying explicit space-time schedules (the
 // output of the paper's algorithms) with full capacity/buffer verification,
 // and running local priority policies (greedy, nearest-to-go) step by step.
+//
+// Schedule replay keeps link and buffer occupancy in dense counters over the
+// replayed time window. Link cells are laid out along the untilted time
+// w = t − Σxᵢ of Even–Medina Sec. 3.2 rather than along real time t: the
+// cell of the link leaving node v along axis a at time t is
+// ((w − w₀)·N + v)·d + a, where w₀ = minT − diam(G) is the lowest w the
+// window can hold. A transmission raises t and Σxᵢ together, so a straight
+// run keeps w fixed and its successive links sit one grid stride apart (on a
+// line, in adjacent cells), where a t-major layout would put every hop on a
+// fresh page. Buffer cells are v·width + (t − minT): consecutive holds at one
+// node are adjacent there.
 package netsim
 
 import (
@@ -123,12 +134,47 @@ func (r *Result) CountKind(k OutcomeKind) int {
 	return n
 }
 
+// linkCells is the untilted link-cell layout of one replay window, described
+// in the package comment. Batch and incremental replay share it.
+type linkCells struct {
+	minT       int64
+	n, d, diam int
+}
+
+func newLinkCells(g *grid.Grid, minT int64) linkCells {
+	return linkCells{minT: minT, n: g.N(), d: g.D(), diam: g.Diameter()}
+}
+
+// size returns the cell count of a window of the given width: w − w₀ spans
+// [0, width + diam).
+func (lc linkCells) size(width int) int { return lc.n * lc.d * (width + lc.diam) }
+
+// index returns the cell of the link leaving node (whose coordinates sum to
+// sum) along axis at time t.
+//
+//gridroute:hotpath
+func (lc linkCells) index(node, sum, axis int, t int64) int {
+	return ((int(t-lc.minT)+lc.diam-sum)*lc.n+node)*lc.d + axis
+}
+
+// decode inverts index.
+func (lc linkCells) decode(g *grid.Grid, cell int) (node, axis int, t int64) {
+	axis = cell % lc.d
+	cell /= lc.d
+	node = cell % lc.n
+	t = lc.minT - int64(lc.diam) + int64(cell/lc.n)
+	for i, l := range g.Dims {
+		t += int64(node / g.Stride(i) % l)
+	}
+	return node, axis, t
+}
+
 // Replayer holds the reusable dense state of schedule replay. Link and
-// buffer occupancy live in epoch-stamped flat arrays over the compact
-// (node, axis, t) / (node, t) id space of the replayed time window, so a
-// warm Replayer verifies a schedule set with no hashing and no allocation.
-// A Replayer is not safe for concurrent use; ReplaySchedules draws one from
-// a pool per call.
+// buffer occupancy live in epoch-stamped flat arrays over the replayed time
+// window — links in the untilted linkCells layout, buffers at
+// node·width + (t − minT) — so a warm Replayer verifies a schedule set with
+// no hashing and no allocation. A Replayer is not safe for concurrent use;
+// ReplaySchedules draws one from a pool per call.
 type Replayer struct {
 	links dense.Counts
 	bufs  dense.Counts
@@ -194,8 +240,8 @@ func (rp *Replayer) ReplayInto(g *grid.Grid, reqs []grid.Request, schedules []*s
 	if width < 1 {
 		width = 1
 	}
-	d := g.D()
-	rp.links.Reset(g.N() * d * width)
+	lc := newLinkCells(g, minT)
+	rp.links.Reset(lc.size(width))
 	rp.bufs.Reset(g.N() * width)
 
 	for i := range schedules {
@@ -216,12 +262,17 @@ func (rp *Replayer) ReplayInto(g *grid.Grid, reqs []grid.Request, schedules []*s
 		rp.pos = pos
 		t := s.StartT
 		ok := true
+		// The node id and coordinate sum follow the walk move by move; both
+		// are updated only after the leaves-grid check passed.
+		var node, sum int
+		if len(s.Moves) > 0 {
+			node, sum = g.Index(pos), pos.Sum()
+		}
 		for _, m := range s.Moves {
 			// Model 2 charges a buffer slot to every packet present at a
 			// node during a cycle (including forwarded ones); Model 1 only
 			// to packets held across the cycle boundary. Link accounting is
 			// model-independent. Both models fold into this single pass.
-			node := g.Index(pos)
 			if model == Model2 && !pos.Eq(reqs[i].Dst) {
 				rp.bumpBuf(node, t, minT, width, res)
 			}
@@ -230,8 +281,7 @@ func (rp *Replayer) ReplayInto(g *grid.Grid, reqs []grid.Request, schedules []*s
 					rp.bumpBuf(node, t, minT, width, res)
 				}
 			} else {
-				li := (node*d+int(m))*width + int(t-minT)
-				if n := rp.links.Add(li, 1); n > res.MaxLink {
+				if n := rp.links.Add(lc.index(node, sum, int(m), t), 1); n > res.MaxLink {
 					res.MaxLink = n
 				}
 				pos[m]++
@@ -240,6 +290,8 @@ func (rp *Replayer) ReplayInto(g *grid.Grid, reqs []grid.Request, schedules []*s
 					ok = false
 					break
 				}
+				node += g.Stride(int(m))
+				sum++
 			}
 			t++
 		}
@@ -257,11 +309,9 @@ func (rp *Replayer) ReplayInto(g *grid.Grid, reqs []grid.Request, schedules []*s
 
 	for _, li := range rp.links.Touched() {
 		if n := rp.links.Get(int(li)); n > g.C {
-			id := int(li)
-			t := minT + int64(id%width)
-			id /= width
+			node, axis, t := lc.decode(g, int(li))
 			res.Violation = append(res.Violation,
-				fmt.Sprintf("link capacity exceeded: node %d axis %d t=%d: %d > %d", id/d, id%d, t, n, g.C)) //gridlint:allow violation reporting: runs only on capacity breaches, not per packet
+				fmt.Sprintf("link capacity exceeded: node %d axis %d t=%d: %d > %d", node, axis, t, n, g.C)) //gridlint:allow violation reporting: runs only on capacity breaches, not per packet
 		}
 	}
 	for _, bi := range rp.bufs.Touched() {
@@ -306,7 +356,9 @@ func (rp *Replayer) presenceWalk(g *grid.Grid, req *grid.Request, s *spacetime.S
 // accepted packets one admit at a time and cannot batch them first. The
 // occupancy universe spans a fixed time window chosen up front (the engine
 // knows its horizon), so adding a schedule is a single walk bumping the same
-// dense link/buffer counters batch replay uses.
+// dense link/buffer counters, in the same untilted link layout, that batch
+// replay uses: the links of a straight run lie one grid stride apart, so a
+// walk touches a few pages instead of one per hop.
 //
 // Capacity violations are detected at the moment a counter first exceeds its
 // capacity, so the violation strings name the offending count at that
@@ -318,6 +370,7 @@ type Incremental struct {
 	model Model
 	minT  int64
 	width int
+	lc    linkCells
 
 	links dense.Counts
 	bufs  dense.Counts
@@ -346,7 +399,8 @@ func (inc *Incremental) Reset(minT, maxT int64) {
 	}
 	inc.minT = minT
 	inc.width = int(maxT-minT) + 1
-	inc.links.Reset(inc.g.N() * inc.g.D() * inc.width)
+	inc.lc = newLinkCells(inc.g, minT)
+	inc.links.Reset(inc.lc.size(inc.width))
 	inc.bufs.Reset(inc.g.N() * inc.width)
 	inc.added = 0
 	inc.maxBuffer, inc.maxLink = 0, 0
@@ -359,7 +413,6 @@ func (inc *Incremental) Reset(minT, maxT int64) {
 // (Violations) tagged with the request ID.
 func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
 	g := inc.g
-	d := g.D()
 	if s == nil {
 		return Outcome{}
 	}
@@ -375,8 +428,12 @@ func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
 	pos := append(inc.pos[:0], s.Src...)
 	inc.pos = pos
 	t := s.StartT
+	// As in batch replay, the node id and coordinate sum follow the walk.
+	var node, sum int
+	if len(s.Moves) > 0 {
+		node, sum = g.Index(pos), pos.Sum()
+	}
 	for _, m := range s.Moves {
-		node := g.Index(pos)
 		if inc.model == Model2 && !pos.Eq(req.Dst) {
 			inc.bumpBuf(req.ID, node, t)
 		}
@@ -385,8 +442,7 @@ func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
 				inc.bumpBuf(req.ID, node, t)
 			}
 		} else {
-			li := (node*d+int(m))*inc.width + int(t-inc.minT)
-			n := inc.links.Add(li, 1)
+			n := inc.links.Add(inc.lc.index(node, sum, int(m), t), 1)
 			if n > inc.maxLink {
 				inc.maxLink = n
 			}
@@ -399,6 +455,8 @@ func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
 				inc.violations = append(inc.violations, fmt.Sprintf("req %d: leaves grid", req.ID))
 				return Outcome{Kind: Dropped}
 			}
+			node += g.Stride(int(m))
+			sum++
 		}
 		t++
 	}
