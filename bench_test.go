@@ -79,6 +79,34 @@ func BenchmarkHotPath(b *testing.B) {
 			dp.RunFlat(box.Lo, box.Hi, src, edgeX, nil)
 		}
 	})
+	b.Run("DPRunFlatNode", func(b *testing.B) {
+		// The kernel the engine runs: Downscaled sketches always pass node
+		// weights. The window has line4096-uniform's typical shape, 38×818
+		// tiles with the source at its origin, inside a 147×1030 tile box;
+		// three in four weights are 0 (untouched resources), the rest small
+		// positive values, as on a lightly loaded packer.
+		b.ReportAllocs()
+		box := lattice.NewBox([]int{0, 0}, []int{147, 1030})
+		edgeX := make([]float64, box.Size()*2)
+		nodeX := make([]float64, box.Size())
+		rng := rand.New(rand.NewSource(1))
+		for _, xs := range [][]float64{edgeX, nodeX} {
+			for i := range xs {
+				if rng.Intn(4) == 0 {
+					xs[i] = rng.Float64() / 64
+				}
+			}
+		}
+		dp := box.NewDP()
+		winLo, winHi := []int{40, 100}, []int{78, 918}
+		dp.RunFlat(winLo, winHi, winLo, edgeX, nodeX)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dp.RunFlat(winLo, winHi, winLo, edgeX, nodeX)
+		}
+		cells := (winHi[0] - winLo[0]) * (winHi[1] - winLo[1])
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+	})
 	b.Run("DPRerunFlat", func(b *testing.B) {
 		// Incremental repair after a single edge-weight change — the kernel
 		// behind the engine's warm-start admit path. The weight toggles

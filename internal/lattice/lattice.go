@@ -376,7 +376,10 @@ func (dp *DP) Run(winLo, winHi, src []int, edgeW EdgeWeight, nodeW NodeWeight) {
 // costs edgeX[id·D+a] (D = box.D()), and visiting node id costs nodeX[id]
 // (nil nodeX means zero node weights). This is the packing hot path: the
 // slices are an ipp dense packer's weight universe, indexed directly with no
-// call or hash per relaxation.
+// call or hash per relaxation. On a 2-axis box, node-weighted runs (the
+// Downscaled sketch session behind the streaming engine) take the pullChunk2
+// kernel and nil-nodeX runs (the Raw sketch session, the optbound
+// space-time packer) take runPull2NoNode.
 //
 // When a Pool has been attached via SetPool and the window clears the pool's
 // crossover threshold, the relaxation runs on the pool's wavefront workers;
@@ -449,9 +452,10 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	dp.runFlatGeneric(edgeX, nodeX, bound)
 }
 
-// runPull2 is the serial d == 2 pull sweep: runChunk2 over the whole window,
-// plus a dead-row cutoff the banded parallel kernel cannot take. Once a row at
-// or past the source's row ends with every cost ≥ bound, every later row is
+// runPull2 is the serial d == 2 pull sweep for node-weighted runs (nil
+// nodeX takes runPull2NoNode): pullChunk2 over the whole window, plus a
+// dead-row cutoff the banded parallel kernel cannot take. Once a row at or
+// past the source's row ends with every cost ≥ bound, every later row is
 // all-Inf — a candidate pulled from the dead row is pruned by the bound gate,
 // and a within-row candidate is Inf by induction along the row — so the
 // remainder is bulk-filled with the exact values (Inf, −1) the full sweep
@@ -466,67 +470,268 @@ func (dp *DP) runPull2() {
 		dp.runPull2NoNode()
 		return
 	}
-	ps := &dp.par
-	cost, pred := dp.cost, dp.pred
-	edgeX, nodeX, bound := ps.edgeX, ps.nodeX, ps.bound
-	cols := ps.cols
-	bs0, bs1 := dp.box.stride[0], dp.box.stride[1]
-	rows := dp.wdims[0]
-	srcW := dp.srcW
-	srcRow := srcW / cols
-	for i := 0; i < rows; i++ {
-		alive := false
-		w := i * cols
-		bID := dp.winBoxBase + i*bs0
-		for c := 0; c < cols; c++ {
-			if w == srcW {
-				if cost[w] < bound {
-					alive = true
-				}
-				w++
-				bID += bs1
-				continue
-			}
-			best, bp := Inf, int8(-1)
-			if i > 0 {
-				if pc := cost[w-cols]; pc < bound {
-					ec := pc + edgeX[(bID-bs0)*2] + nodeX[bID]
-					if ec < best {
-						best, bp = ec, 0
-					}
-				}
-			}
-			if c > 0 {
-				if pc := cost[w-1]; pc < bound {
-					ec := pc + edgeX[(bID-bs1)*2+1] + nodeX[bID]
-					if ec < best {
-						best, bp = ec, 1
-					}
-				}
-			}
-			cost[w], pred[w] = best, bp
-			if best < bound {
-				alive = true
-			}
-			w++
-			bID += bs1
-		}
-		// Rows before the source's row are legitimately all-Inf — the
-		// up-front source write revives row srcRow, so the induction only
-		// starts there.
-		if !alive && i >= srcRow {
-			dp.fillDead((i+1)*cols, dp.wsize)
-			return
-		}
+	rows, cols := dp.wdims[0], dp.par.cols
+	if dead := dp.pullChunk2(0, rows, 0, cols, true); dead < rows {
+		dp.fillDead((dead+1)*cols, dp.wsize)
 	}
 }
 
-// runPull2NoNode is runPull2 for nil node weights — every packing hot path
-// (the sketch session and the space-time packer index edge weights only).
-// Column 0 and the source's row are peeled so the steady-state inner loop
-// carries no per-node boundary, source, or nil checks; dp fields are hoisted
-// into locals because stores through cost/pred keep the compiler from
-// proving dp itself is unmodified.
+// pullChunk2 pulls rows [r0, r1) × columns [c0, c1) of a node-weighted 2-axis
+// window; the serial sweep and every band of the parallel one run through
+// it. Cells before the source — the rows above its row and its row's prefix
+// — are unreachable and are bulk-filled with the exact (Inf, −1) a pull would
+// compute; the source row's tail is pulled by pullSrcTail2, and the rows
+// below by pullRows2, two rows per pass. With cutoff set (whole rows only)
+// it stops at the first dead row at or past the source's — no cost < bound —
+// and returns it; otherwise, or when no row is dead, it returns r1.
+//
+//gridroute:hotpath
+func (dp *DP) pullChunk2(r0, r1, c0, c1 int, cutoff bool) int {
+	cols := dp.par.cols
+	srcRow, srcCol := dp.srcW/cols, dp.srcW%cols
+	i := r0
+	for ; i < r1 && i < srcRow; i++ {
+		dp.fillDead(i*cols+c0, i*cols+c1)
+	}
+	if i == srcRow && i < r1 {
+		if c0 < srcCol {
+			dp.fillDead(i*cols+c0, i*cols+min(c1, srcCol))
+		}
+		if lo := max(c0, srcCol+1); lo < c1 {
+			dp.pullSrcTail2(lo, c1)
+		}
+		if cutoff && !dp.rowAlive(i) {
+			return i
+		}
+		i++
+	}
+	return dp.pullRows2(i, r1, c0, c1, cutoff)
+}
+
+// pullRows2 pulls rows [r0, r1) × columns [c0, c1) of a node-weighted 2-axis
+// window, where every row lies below the source's row: each cell has both a
+// vertical predecessor row and no source to skip. Rows go two per pass
+// through pullPair2, so the two rows' dependency chains along the row
+// overlap; an odd last row goes through pullRow2. With cutoff set it returns
+// the first dead row and relaxes nothing past the pair holding it — the
+// pair's second row, if computed, already holds the exact dead values
+// (Inf, −1); otherwise it returns r1.
+//
+//gridroute:hotpath
+func (dp *DP) pullRows2(r0, r1, c0, c1 int, cutoff bool) int {
+	for i := r0; i < r1; i += 2 {
+		two := i+1 < r1
+		if two {
+			dp.pullPair2(i, c0, c1)
+		} else {
+			dp.pullRow2(i, c0, c1)
+		}
+		if !cutoff {
+			continue
+		}
+		if !dp.rowAlive(i) {
+			return i
+		}
+		if two && !dp.rowAlive(i+1) {
+			return i + 1
+		}
+	}
+	return r1
+}
+
+// rowAlive reports whether window row i holds a cost < bound. The scan
+// stops at the first such cell, which on a live row is almost always among
+// the first few; it keeps liveness tracking out of the pull loops, which
+// have no register to spare for it.
+//
+//gridroute:hotpath
+func (dp *DP) rowAlive(i int) bool {
+	cols, bound := dp.par.cols, dp.par.bound
+	for _, c := range dp.cost[i*cols : (i+1)*cols] {
+		if c < bound {
+			return true
+		}
+	}
+	return false
+}
+
+// rowViews2 re-slices window row i over columns [c0, c1) of a node-weighted
+// 2-axis run, for a row with a row above it in the box: its cost and pred
+// cells, its nodeX weights, and two interleaved edgeX views whose entry 2k is
+// the weight of column c0+k's vertical (axis-0, from the row above) and
+// horizontal (axis-1, from the left) in-edge. A 2-axis box has stride 1 along
+// axis 1, so the in-edges of box node b sit at edgeX[2(b−stride0)] and
+// edgeX[2b−1]. The edge views end at their last read entry: an n-column
+// segment's are 2n−1 long.
+//
+//gridroute:hotpath
+func (dp *DP) rowViews2(i, c0, c1 int) (cost []float64, pred []int8, ev, eh, node []float64) {
+	w := i*dp.par.cols + c0
+	n := c1 - c0
+	b := dp.winBoxBase + i*dp.box.stride[0] + c0
+	v := 2 * (b - dp.box.stride[0])
+	h := 2*b - 1
+	edgeX := dp.par.edgeX
+	return dp.cost[w : w+n], dp.pred[w : w+n], edgeX[v : v+2*n-1], edgeX[h : h+2*n-1], dp.par.nodeX[b : b+n]
+}
+
+// pullPair2 pulls rows i and i+1 over columns [c0, c1) (see pullRows2).
+// Column by column it relaxes row i's cell, then row i+1's, whose vertical
+// predecessor is the cell just written, so the two rows' horizontal chains
+// run side by side. Every cell evaluates exactly the serial sweep's
+// expression — (cost + edgeX[…]) + nodeX[…], the vertical candidate first,
+// strict <, and (Inf, −1) when no predecessor is below the bound.
+//
+// The loop is written for the register allocator: the views are re-sliced
+// to common lengths so that the compiler proves every index in range but one
+// edge index per column (it cannot bound the stride-2 index 2k by the loop
+// count); the predecessor is stored in place rather than carried in a
+// variable, and Inf is copied to a local, since the loop already needs
+// every general register and either would spill.
+//
+//gridroute:hotpath
+func (dp *DP) pullPair2(i, c0, c1 int) {
+	inf, bound := Inf, dp.par.bound
+	cost0, pred0, ev0, eh0, node0 := dp.rowViews2(i, c0, c1)
+	cost1, pred1, _, eh1, node1 := dp.rowViews2(i+1, c0, c1)
+	n, m := len(cost0), len(ev0)
+	up := dp.cost[(i-1)*dp.par.cols+c0:]
+	up = up[:n]
+	pred0, node0 = pred0[:n], node0[:n]
+	cost1, pred1, node1 = cost1[:n], pred1[:n], node1[:n]
+	// Row i+1's vertical in-edges, the axis-0 edges leaving row i, sit one
+	// entry after row i's horizontal ones. The view equals rowViews2(i+1)'s
+	// ev; cutting it from eh0 compiles to a faster loop (same instructions,
+	// better block layout) on the Xeon the kernel was tuned on.
+	ev1 := eh0[1 : m+1]
+	eh0, eh1 = eh0[:m], eh1[:m]
+	left0, left1 := dp.leftOf(i, c0), dp.leftOf(i+1, c0)
+	for c := range cost0 {
+		j := 2 * c
+		e0 := ev0[j]
+		best := inf
+		pred0[c] = -1
+		if pc := up[c]; pc < bound {
+			if ec := pc + e0 + node0[c]; ec < best {
+				best = ec
+				pred0[c] = 0
+			}
+		}
+		if left0 < bound {
+			if ec := left0 + eh0[j] + node0[c]; ec < best {
+				best = ec
+				pred0[c] = 1
+			}
+		}
+		cost0[c] = best
+		left0 = best
+		pc := best
+		best = inf
+		pred1[c] = -1
+		if pc < bound {
+			if ec := pc + ev1[j] + node1[c]; ec < best {
+				best = ec
+				pred1[c] = 0
+			}
+		}
+		if left1 < bound {
+			if ec := left1 + eh1[j] + node1[c]; ec < best {
+				best = ec
+				pred1[c] = 1
+			}
+		}
+		cost1[c] = best
+		left1 = best
+	}
+}
+
+// pullRow2 is pullPair2 for the single row i: the odd last row of a
+// pullRows2 range.
+//
+//gridroute:hotpath
+func (dp *DP) pullRow2(i, c0, c1 int) {
+	inf, bound := Inf, dp.par.bound
+	cost, pred, ev, eh, node := dp.rowViews2(i, c0, c1)
+	n := len(cost)
+	up := dp.cost[(i-1)*dp.par.cols+c0:]
+	up = up[:n]
+	pred, node = pred[:n], node[:n]
+	eh = eh[:len(ev)]
+	left := dp.leftOf(i, c0)
+	for c := range cost {
+		j := 2 * c
+		e := ev[j]
+		best := inf
+		pred[c] = -1
+		if pc := up[c]; pc < bound {
+			if ec := pc + e + node[c]; ec < best {
+				best = ec
+				pred[c] = 0
+			}
+		}
+		if left < bound {
+			if ec := left + eh[j] + node[c]; ec < best {
+				best = ec
+				pred[c] = 1
+			}
+		}
+		cost[c] = best
+		left = best
+	}
+}
+
+// pullSrcTail2 pulls columns [c0, c1) of the source's row, all right of the
+// source, in a node-weighted 2-axis run. The row above is unreachable or
+// absent, so no vertical candidate can pass the bound gate: each cell takes
+// the horizontal candidate (left + edgeX[…]) + nodeX[…] when it beats Inf,
+// exactly as the full pull.
+//
+//gridroute:hotpath
+func (dp *DP) pullSrcTail2(c0, c1 int) {
+	inf, bound := Inf, dp.par.bound
+	srcRow := dp.srcW / dp.par.cols
+	w := srcRow*dp.par.cols + c0
+	n := c1 - c0
+	b := dp.winBoxBase + srcRow*dp.box.stride[0] + c0
+	cost, pred := dp.cost[w:w+n], dp.pred[w:w+n]
+	eh := dp.par.edgeX[2*b-1 : 2*b-1+2*n-1]
+	node := dp.par.nodeX[b : b+n]
+	pred, node = pred[:n], node[:n]
+	left := dp.cost[w-1]
+	for c := range cost {
+		e := eh[2*c]
+		best := inf
+		pred[c] = -1
+		if left < bound {
+			if ec := left + e + node[c]; ec < best {
+				best = ec
+				pred[c] = 1
+			}
+		}
+		cost[c] = best
+		left = best
+	}
+}
+
+// leftOf returns the cost of the cell left of column c0 in window row i, or
+// Inf at column 0, where no horizontal predecessor exists.
+//
+//gridroute:hotpath
+func (dp *DP) leftOf(i, c0 int) float64 {
+	if c0 == 0 {
+		return Inf
+	}
+	return dp.cost[i*dp.par.cols+c0-1]
+}
+
+// runPull2NoNode is runPull2 for nil node weights: the randomized
+// algorithm's Raw sketch session and the optbound space-time packer, which
+// index edge weights only. (The deterministic Downscaled sketch session —
+// the streaming engine's admission DP — passes node weights and runs
+// pullChunk2.) Column 0 and the source's row are peeled so the steady-state
+// inner loop carries no per-node boundary, source, or nil checks; dp fields
+// are hoisted into locals because stores through cost/pred keep the
+// compiler from proving dp itself is unmodified.
 //
 // Beyond the dead-row cutoff, each row's scan terminates early at the alive
 // frontier. A cell is alive when its cost is < bound; a dead cell — Inf or a

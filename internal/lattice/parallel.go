@@ -203,13 +203,19 @@ func (dp *DP) runBand(band int) {
 }
 
 // runChunk2 pulls rows [r0,r1) × columns [c0,c1) of a 2-axis window.
+// Node-weighted runs go through pullChunk2, the serial sweep's kernel, so
+// every DPWorkers setting runs the same relaxation code.
 //
 //gridroute:hotpath
 func (dp *DP) runChunk2(r0, r1, c0, c1 int) {
 	ps := &dp.par
-	cost, pred := dp.cost, dp.pred
-	edgeX, nodeX, bound := ps.edgeX, ps.nodeX, ps.bound
+	if ps.nodeX != nil {
+		dp.pullChunk2(r0, r1, c0, c1, false)
+		return
+	}
 	cols := ps.cols
+	cost, pred := dp.cost, dp.pred
+	edgeX, bound := ps.edgeX, ps.bound
 	bs0, bs1 := dp.box.stride[0], dp.box.stride[1]
 	for i := r0; i < r1; i++ {
 		w := i*cols + c0
@@ -223,22 +229,14 @@ func (dp *DP) runChunk2(r0, r1, c0, c1 int) {
 			best, bp := Inf, int8(-1)
 			if i > 0 {
 				if pc := cost[w-cols]; pc < bound {
-					ec := pc + edgeX[(bID-bs0)*2]
-					if nodeX != nil {
-						ec += nodeX[bID]
-					}
-					if ec < best {
+					if ec := pc + edgeX[(bID-bs0)*2]; ec < best {
 						best, bp = ec, 0
 					}
 				}
 			}
 			if c > 0 {
 				if pc := cost[w-1]; pc < bound {
-					ec := pc + edgeX[(bID-bs1)*2+1]
-					if nodeX != nil {
-						ec += nodeX[bID]
-					}
-					if ec < best {
+					if ec := pc + edgeX[(bID-bs1)*2+1]; ec < best {
 						best, bp = ec, 1
 					}
 				}

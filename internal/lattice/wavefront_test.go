@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -42,8 +43,10 @@ func randomWindow(rng *rand.Rand, b *Box) (winLo, winHi, src []int) {
 }
 
 // requireIdentical compares the full window state of two DPs bit for bit —
-// the contract every alternative kernel (parallel, bounded-below-bound,
-// incremental) must satisfy against the serial reference.
+// cost bits, so a −0/+0 or NaN-payload difference fails too, and
+// predecessors — the contract every alternative kernel (parallel,
+// bounded-below-bound, incremental) must satisfy against the serial
+// reference.
 func requireIdentical(t *testing.T, tag string, ref, got *DP) {
 	t.Helper()
 	if ref.valid != got.valid {
@@ -56,7 +59,7 @@ func requireIdentical(t *testing.T, tag string, ref, got *DP) {
 		t.Fatalf("%s: window sizes differ: %d vs %d", tag, got.wsize, ref.wsize)
 	}
 	for w := 0; w < ref.wsize; w++ {
-		if ref.cost[w] != got.cost[w] || ref.pred[w] != got.pred[w] {
+		if math.Float64bits(ref.cost[w]) != math.Float64bits(got.cost[w]) || ref.pred[w] != got.pred[w] {
 			t.Fatalf("%s: node %d: cost/pred (%v,%d) != serial (%v,%d)",
 				tag, w, got.cost[w], got.pred[w], ref.cost[w], ref.pred[w])
 		}
