@@ -1,7 +1,7 @@
 // Package detflow enforces the determinism contract on the decision flow:
-// every function reachable from a decision-log write — the serial decide
-// path, the speculative committer, and WAL replay, all rooted by a
-// //gridroute:deterministic annotation — must be free of wall-clock reads,
+// every function reachable from a decision-log write — the consumer loop's
+// decide path and WAL replay, both rooted by a //gridroute:deterministic
+// annotation — must be free of wall-clock reads,
 // unseeded math/rand draws, and map iteration (whose order would reach the
 // log). The byte-identical decision logs that the race, chaos and shard
 // gates check dynamically are only possible if this holds statically.
@@ -88,7 +88,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			info := &funcInfo{decl: fn, obj: obj}
-			_, info.root = annotation.FuncDirective(fn, annotation.Deterministic)
+			info.root = annotation.FuncDirective(fn, annotation.Deterministic)
 			collectBody(pass, fn.Body, allows, info)
 			infos[obj] = info
 			order = append(order, info)

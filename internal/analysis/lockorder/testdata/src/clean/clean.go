@@ -1,48 +1,25 @@
-// Package clean follows the lockorder contract end to end: bump-then-write
-// commits, a properly bracketed commit point (including a deferred unlock),
-// an RLock-bracketed snapshot read, stamped journal appends, and the allow
-// hatch for a single-threaded replay path.
+// Package clean follows the lockorder contract: every versioned-field write
+// comes after a version bump, whole-field initialization is exempt, and the
+// allow hatch covers a deliberate exception.
 package clean
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 type packer struct {
-	mu      sync.RWMutex
 	version atomic.Uint64
 	//gridroute:versioned
 	xs []float64
 }
 
-func (p *packer) Version() uint64 { return p.version.Load() }
+func newPacker(n int) *packer {
+	return &packer{xs: make([]float64, n)}
+}
 
 func (p *packer) commit(e int) {
 	p.version.Add(1)
 	p.xs[e] = 1
 }
 
-//gridroute:versionstamp
-func (p *packer) journalAdd(ver uint64, edges []int) {}
-
-//gridroute:weightmutator mu
-func (p *packer) offer(e int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.commit(e)
-	p.journalAdd(p.Version(), nil)
-}
-
-//gridroute:rlock
-func (p *packer) Snapshot() []float64 { return p.xs }
-
-func read(p *packer) float64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.Snapshot()[0]
-}
-
-func replay(p *packer, e int) {
-	p.commit(e) //gridlint:allow single-threaded replay before the workers start
+func (p *packer) reset(e int) {
+	p.xs[e] = 0 //gridlint:allow fixture: a reviewed exception with its reason
 }

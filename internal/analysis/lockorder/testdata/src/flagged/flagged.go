@@ -1,24 +1,16 @@
-// Package flagged violates each layer of the lockorder contract: a
-// versioned-field write with no version bump, a mutator call outside any
-// commit point, an unbracketed mutator call inside one, an unprotected
-// snapshot read, and a journal append without a version stamp.
+// Package flagged violates the lockorder contract: a versioned-field write
+// with no version bump, and one whose bump comes only after the write.
 package flagged
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 type packer struct {
-	mu      sync.RWMutex
 	version atomic.Uint64
-	// xs is the live weight state; snapshot readers stamp versions
-	// lock-free, so every write needs a preceding bump.
+	// xs is the live weight state; warm-start readers key off the version,
+	// so every write needs a preceding bump.
 	//gridroute:versioned
 	xs []float64
 }
-
-func (p *packer) Version() uint64 { return p.version.Load() }
 
 func (p *packer) commit(e int) {
 	p.version.Add(1)
@@ -29,30 +21,7 @@ func (p *packer) commitUnstamped(e int) {
 	p.xs[e] = 1 // want `write to versioned field xs without a preceding version bump`
 }
 
-//gridroute:versionstamp
-func (p *packer) journalAdd(ver uint64, edges []int) {}
-
-//gridroute:weightmutator mu
-func (p *packer) offerLocked(e int) {
-	p.mu.Lock()
-	p.commit(e)
-	p.mu.Unlock()
-	p.journalAdd(p.Version(), nil)
-}
-
-//gridroute:weightmutator mu
-func (p *packer) offerUnlocked(e int) {
-	p.commit(e)          // want `mutator call commit not bracketed by mu.Lock/Unlock`
-	p.journalAdd(0, nil) // want `journalAdd requires a fresh .Version\(\) call as its first argument`
-}
-
-func rogue(p *packer, e int) {
-	p.commit(e) // want `commit mutates versioned weights but rogue is not a //gridroute:weightmutator commit point`
-}
-
-//gridroute:rlock
-func (p *packer) Snapshot() []float64 { return p.xs }
-
-func readBad(p *packer) float64 {
-	return p.Snapshot()[0] // want `Snapshot read requires RLock/RUnlock bracketing`
+func (p *packer) commitLate(e int) {
+	p.xs[e] = 1 // want `write to versioned field xs without a preceding version bump`
+	p.version.Add(1)
 }

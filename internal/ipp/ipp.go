@@ -79,9 +79,8 @@ type Packer struct {
 	// the edge ids whose weights changed in the most recent commit (reused
 	// buffer). Incremental consumers — the streaming engine's metrics, and
 	// warm-start DP re-relaxation — key off these instead of rescanning the
-	// weight universe. version is atomic so speculative readers can stamp a
-	// weight snapshot without holding the committer's lock; every mutation
-	// of the weight state itself still requires external synchronization.
+	// weight universe. Every write to the //gridroute:versioned weight state
+	// must follow a version bump in the same function (gridlint lockorder).
 	version atomic.Uint64
 	last    []EdgeID
 }
@@ -244,8 +243,6 @@ func (p *Packer) commitSparse(path []EdgeID) {
 // exactly one per accepted Offer, so a consumer holding weights derived from
 // version v knows the weight state is unchanged while Version() == v — the
 // contract incremental oracles (warm-start DP, streaming metrics) build on.
-// The load is atomic: speculative admission workers poll it lock-free to
-// decide whether their weight snapshot is still current.
 func (p *Packer) Version() uint64 { return p.version.Load() }
 
 // LastCommitted returns the edge ids whose weights changed in the most

@@ -102,14 +102,6 @@ type Session struct {
 	// axis, inclusive, in tile coordinates.
 	rayLo, rayHi int
 
-	// Snapshot-solve cache (SolveSnapshot): the window/source of the last
-	// snapshot relaxation. When the prepared query matches and the caller
-	// asserts the snapshot weights are unchanged, the DP is skipped.
-	specWinLo []int
-	specWinHi []int
-	specSrc   []int
-	specValid bool
-
 	// Warm-start cache (dense packers only): the DP solution of the last
 	// query stays valid while the packer's version is unchanged, and repairs
 	// incrementally when exactly one path committed since — the committed
@@ -142,10 +134,6 @@ func (g *Graph) NewSession() *Session {
 		lastWinLo: make([]int, g.axes),
 		lastWinHi: make([]int, g.axes),
 		lastSrc:   make([]int, g.axes),
-
-		specWinLo: make([]int, g.axes),
-		specWinHi: make([]int, g.axes),
-		specSrc:   make([]int, g.axes),
 	}
 }
 
@@ -316,9 +304,8 @@ func (s *Session) LightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wL
 // route can exist for purely geometric reasons (destination behind source,
 // empty w ray, tile budget exceeded) — exactly the weight-independent
 // no-route cases of LightestRouteInto, so a false here is a final verdict
-// regardless of packer state. After a true return the caller solves the
-// prepared window with LightestRouteInto (canonical weights) or
-// SnapshotWindow/SolveSnapshot (speculative weights).
+// regardless of packer state. LightestRouteInto and LightestRouteMasked
+// call it before solving the prepared window.
 //
 //gridroute:hotpath
 func (s *Session) PrepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int) bool {
@@ -413,7 +400,6 @@ func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec
 		return false
 	}
 	g := s.g
-	s.specValid = false // the DP state below reflects live, not snapshot, weights
 	if xs := pk.Weights(); xs != nil {
 		// Dense packer: AxisEdgeID(id, a) = id·axes+a matches RunFlat's edge
 		// layout, and the interior-edge weights form the contiguous tail of
@@ -445,8 +431,7 @@ func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec
 
 // Window exposes the DP window prepared by the last PrepareQuery as views
 // into session scratch: valid until the next PrepareQuery, must not be
-// mutated. Speculation validation uses it to test committed edges for
-// overlap with the window a snapshot solve read.
+// mutated.
 func (s *Session) Window() (lo, hi []int) { return s.winLo, s.winHi }
 
 // SnapshotWindow copies the weight rows covered by the prepared window from
@@ -457,7 +442,6 @@ func (s *Session) Window() (lo, hi []int) { return s.winLo, s.winHi }
 // are themselves contiguous (AxisEdgeID stride), as are the interior-edge
 // weights in Downscaled mode, so each row is two copy calls.
 //
-//gridroute:rlock
 //gridroute:hotpath
 func (s *Session) SnapshotWindow(from, into []float64) {
 	g := s.g
@@ -488,42 +472,6 @@ func (s *Session) SnapshotWindow(from, into []float64) {
 	}
 }
 
-// PreparedUnchanged reports whether the window and source prepared by the
-// last PrepareQuery match the session's last snapshot solve. Together with
-// an unchanged packer version this lets a speculation worker skip both the
-// weight copy and the DP and go straight to route extraction.
-//
-//gridroute:hotpath
-func (s *Session) PreparedUnchanged() bool {
-	return s.specValid && equalInts(s.specWinLo, s.winLo) &&
-		equalInts(s.specWinHi, s.winHi) && equalInts(s.specSrc, s.srcTile)
-}
-
-// SolveSnapshot runs the lightest-route DP for the prepared query over a
-// snapshot weight slice (laid out like the packer's dense weights) and
-// extracts the route into out. When skipDP is true the caller asserts the
-// DP state already holds this exact solve (PreparedUnchanged and an
-// unchanged snapshot) and only extraction runs. The session's packer-keyed
-// warm cache is invalidated: the DP state now reflects snapshot, not live,
-// weights.
-//
-//gridroute:hotpath
-func (s *Session) SolveSnapshot(xs []float64, skipDP bool, out *Route) bool {
-	if !skipDP || !s.PreparedUnchanged() {
-		var nodeX []float64
-		if s.g.Mode == Downscaled {
-			nodeX = xs[s.g.Tl.TBox.Size()*s.g.axes:]
-		}
-		s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
-		copy(s.specWinLo, s.winLo)
-		copy(s.specWinHi, s.winHi)
-		copy(s.specSrc, s.srcTile)
-		s.specValid = true
-	}
-	s.lastValid = false
-	return s.extractRoute(out)
-}
-
 // LightestRouteMasked is LightestRouteInto under a resource-outage mask: the
 // query is solved over a snapshot of the dense packer weights in which every
 // blocked edge id costs +Inf, so no route can traverse a failed resource.
@@ -532,6 +480,8 @@ func (s *Session) SolveSnapshot(xs []float64, skipDP bool, out *Route) bool {
 // only the prepared window's rows are (re)written per call, and entries
 // outside the window may hold stale values from earlier calls — the DP never
 // reads outside the window, so they are harmless. Requires a dense packer.
+// The session's warm cache is invalidated: the DP state now reflects masked,
+// not live, weights.
 func (s *Session) LightestRouteMasked(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, blocked []ipp.EdgeID, buf []float64, out *Route) bool {
 	if !s.PrepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
@@ -544,10 +494,13 @@ func (s *Session) LightestRouteMasked(pk *ipp.Packer, srcPoint []int, dst grid.V
 	for _, e := range blocked {
 		buf[e] = math.Inf(1)
 	}
-	// The buffer was mutated after the copy: never let a later snapshot solve
-	// skip the DP on the strength of this one.
-	s.specValid = false
-	return s.SolveSnapshot(buf, false, out)
+	var nodeX []float64
+	if s.g.Mode == Downscaled {
+		nodeX = buf[s.g.Tl.TBox.Size()*s.g.axes:]
+	}
+	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, buf, nodeX)
+	s.lastValid = false
+	return s.extractRoute(out)
 }
 
 // routeInto materializes a DP path as a sketch Route, reusing out's slices.
