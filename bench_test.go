@@ -107,6 +107,33 @@ func BenchmarkHotPath(b *testing.B) {
 		cells := (winHi[0] - winLo[0]) * (winHi[1] - winLo[1])
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 	})
+	b.Run("DPRunFlatNode3", func(b *testing.B) {
+		// The 3-axis kernel a 2-D grid's admission DP runs. grid64-transpose
+		// (64² grid, horizon 2800, tile side 24) tiles into a 3×3×123 box;
+		// its windows are 2×2 tiles across and 72.5 along w on average, with
+		// the source at the window origin. Weights as in DPRunFlatNode.
+		b.ReportAllocs()
+		box := lattice.NewBox([]int{0, 0, -6}, []int{3, 3, 117})
+		edgeX := make([]float64, box.Size()*3)
+		nodeX := make([]float64, box.Size())
+		rng := rand.New(rand.NewSource(1))
+		for _, xs := range [][]float64{edgeX, nodeX} {
+			for i := range xs {
+				if rng.Intn(4) == 0 {
+					xs[i] = rng.Float64() / 64
+				}
+			}
+		}
+		dp := box.NewDP()
+		winLo, winHi := []int{1, 0, 20}, []int{3, 2, 92}
+		dp.RunFlat(winLo, winHi, winLo, edgeX, nodeX)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dp.RunFlat(winLo, winHi, winLo, edgeX, nodeX)
+		}
+		cells := 2 * 2 * (winHi[2] - winLo[2])
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+	})
 	b.Run("DPRerunFlat", func(b *testing.B) {
 		// Incremental repair after a single edge-weight change — the kernel
 		// behind the engine's warm-start admit path. The weight toggles

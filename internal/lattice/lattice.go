@@ -376,10 +376,20 @@ func (dp *DP) Run(winLo, winHi, src []int, edgeW EdgeWeight, nodeW NodeWeight) {
 // costs edgeX[id·D+a] (D = box.D()), and visiting node id costs nodeX[id]
 // (nil nodeX means zero node weights). This is the packing hot path: the
 // slices are an ipp dense packer's weight universe, indexed directly with no
-// call or hash per relaxation. On a 2-axis box, node-weighted runs (the
-// Downscaled sketch session behind the streaming engine) take the pullChunk2
-// kernel and nil-nodeX runs (the Raw sketch session, the optbound
-// space-time packer) take runPull2NoNode.
+// call or hash per relaxation. Which kernel serves a run depends on the box
+// and on nodeX:
+//
+//   - 2 axes, node-weighted (the Downscaled sketch session behind the
+//     streaming engine on a line): pullChunk2.
+//   - 2 axes, nil nodeX (the Raw sketch session, the optbound space-time
+//     packer): runPull2NoNode serially, runChunk2 on pool bands.
+//   - 3 axes, node-weighted (the Downscaled sketch session on a 2-D grid):
+//     pullChunk3.
+//   - 3 axes with nil nodeX, and 4 to maxParAxes axes: runChunkGeneric.
+//   - more than maxParAxes axes: the push sweep runFlatGeneric.
+//
+// The serial sweep and the pool's bands run the same kernel for each case
+// but the 2-axis nil-nodeX one.
 //
 // When a Pool has been attached via SetPool and the window clears the pool's
 // crossover threshold, the relaxation runs on the pool's wavefront workers;
@@ -436,9 +446,12 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 			dp.cost[srcW] = 0
 		}
 		dp.pred[srcW] = -1
-		if dp.box.D() == 2 {
+		switch {
+		case dp.box.D() == 2:
 			dp.runPull2()
-		} else {
+		case dp.box.D() == 3 && nodeX != nil:
+			dp.pullChunk3(0, rows, 0, ps.cols)
+		default:
 			dp.runChunkGeneric(0, rows, 0, ps.cols)
 		}
 		return

@@ -333,3 +333,68 @@ func TestRunFlatMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestMinCostRayMatchesCostAtScan checks MinCostRay against the ascending
+// CostAt scan it replaces: the same least cost bit for bit, and the same
+// coordinate, the lowest one on ties (and lo when every point is Inf). Rays
+// run along every axis of 2- and 3-axis windows, with quantized weights so
+// that minima tie, and with ends clipped by the window or entirely outside
+// it.
+func TestMinCostRayMatchesCostAtScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	ties, clipped := 0, 0 // finite-minimum rays with a tie, with a clipped end
+	for trial := 0; trial < 60; trial++ {
+		d := 2 + trial%2
+		lo, hi := make([]int, d), make([]int, d)
+		for i := range lo {
+			lo[i] = rng.Intn(5) - 2
+			hi[i] = lo[i] + 1 + rng.Intn(12)
+		}
+		b := NewBox(lo, hi)
+		edgeX := make([]float64, b.Size()*d)
+		nodeX := make([]float64, b.Size())
+		for _, xs := range [][]float64{edgeX, nodeX} {
+			for i := range xs {
+				xs[i] = []float64{0, 0.25, 0.5}[rng.Intn(3)]
+			}
+		}
+		winLo, winHi, src := randomWindow(rng, b)
+		dp := b.NewDP()
+		dp.RunFlat(winLo, winHi, src, edgeX, nodeX)
+		p := make([]int, d)
+		for probe := 0; probe < 40; probe++ {
+			for i := range p {
+				p[i] = lo[i] - 1 + rng.Intn(hi[i]-lo[i]+2)
+			}
+			axis := rng.Intn(d)
+			rlo := lo[axis] - 2 + rng.Intn(hi[axis]-lo[axis]+3)
+			rhi := rlo - 1 + rng.Intn(hi[axis]-lo[axis]+3)
+			want, wantAt, tied := Inf, rlo, false
+			q := append([]int(nil), p...)
+			for x := rlo; x <= rhi; x++ {
+				q[axis] = x
+				c := dp.CostAt(q)
+				tied = tied || c == want
+				if c < want {
+					want, wantAt, tied = c, x, false
+				}
+			}
+			if want < Inf {
+				if tied {
+					ties++
+				}
+				if rlo < winLo[axis] || rhi >= winHi[axis] {
+					clipped++
+				}
+			}
+			got, gotAt := dp.MinCostRay(p, axis, rlo, rhi)
+			if math.Float64bits(got) != math.Float64bits(want) || gotAt != wantAt {
+				t.Fatalf("trial %d: window %v–%v, ray %v axis %d [%d, %d]: MinCostRay (%v, %d), CostAt scan (%v, %d)",
+					trial, winLo, winHi, p, axis, rlo, rhi, got, gotAt, want, wantAt)
+			}
+		}
+	}
+	if ties == 0 || clipped == 0 {
+		t.Fatalf("degenerate rays: %d tied and %d clipped finite minima", ties, clipped)
+	}
+}

@@ -85,10 +85,12 @@ func quantizedWeights(rng *rand.Rand, b *Box, vals []float64) (edgeX, nodeX []fl
 }
 
 // TestRunFlatNodeMatchesRun is the differential test of the node-weighted
-// 2-axis pull kernel (pullChunk2, serial and on pool bands) against the push
-// sweep, on the shapes where a pull kernel can go wrong: ties, +Inf edges,
-// sources off the first row with either parity of rows below, wide rows,
-// and a bounded run's dead-row cutoff on either row of a pair.
+// pull kernels — pullChunk2 on 2-axis windows and pullChunk3 on 3-axis ones,
+// serial and on pool bands — against the push sweep, on the shapes where a
+// pull kernel can go wrong: ties, +Inf edges, sources off the window origin,
+// wide rows, and a bounded run's dead-row cutoff on either row of a pair.
+// The 3-axis subtests add windows one cell wide along each axis and pool
+// chunks that end inside a (j, k) row.
 func TestRunFlatNodeMatchesRun(t *testing.T) {
 	pools := testPools(t)
 	rng := rand.New(rand.NewSource(5))
@@ -176,6 +178,111 @@ func TestRunFlatNodeMatchesRun(t *testing.T) {
 					t.Fatalf("%s: reference's first dead row is %d", tag, got)
 				}
 				checkNodeRun(t, tag, b, b.Lo, b.Hi, src, edgeX, nodeX, bound, pools)
+			}
+		}
+	})
+
+	testRunFlatNode3(t, rng, pools)
+}
+
+// The 3-axis subtests of TestRunFlatNodeMatchesRun: a window row is one
+// (x, y) pair, relaxed along w.
+func testRunFlatNode3(t *testing.T, rng *rand.Rand, pools []*Pool) {
+	bounds := []float64{Inf, 0.5, 1.25}
+
+	t.Run("3axis-ties", func(t *testing.T) {
+		for trial := 0; trial < 40; trial++ {
+			b := NewBox([]int{-2, 1, -5}, []int{rng.Intn(5), 2 + rng.Intn(5), 5 + rng.Intn(130)})
+			edgeX, nodeX := quantizedWeights(rng, b, []float64{0, 0.25, 0.5})
+			winLo, winHi, src := randomWindow(rng, b)
+			for _, bound := range bounds {
+				checkNodeRun(t, fmt.Sprintf("trial %d bound %v", trial, bound), b, winLo, winHi, src, edgeX, nodeX, bound, pools)
+			}
+		}
+	})
+
+	t.Run("3axis-inf-edges", func(t *testing.T) {
+		for trial := 0; trial < 40; trial++ {
+			b := NewBox([]int{0, 0, 0}, []int{2 + rng.Intn(4), 2 + rng.Intn(4), 4 + rng.Intn(80)})
+			edgeX, nodeX := quantizedWeights(rng, b, []float64{0, 0.25, 0.5})
+			for i := range edgeX {
+				if rng.Intn(5) == 0 {
+					edgeX[i] = Inf
+				}
+			}
+			for i := range nodeX {
+				if rng.Intn(12) == 0 {
+					nodeX[i] = Inf
+				}
+			}
+			winLo, winHi, src := randomWindow(rng, b)
+			for _, bound := range bounds {
+				checkNodeRun(t, fmt.Sprintf("trial %d bound %v", trial, bound), b, winLo, winHi, src, edgeX, nodeX, bound, pools)
+			}
+		}
+	})
+
+	t.Run("3axis-source-offset", func(t *testing.T) {
+		// The source sits inside the window on every axis, so cells outside
+		// its orthant lie both before it in window order and after it. The
+		// weights are not binary fractions: a reassociated sum rounds
+		// differently.
+		b := NewBox([]int{-1, 2, 0}, []int{6, 8, 90})
+		edgeX, nodeX := quantizedWeights(rng, b, []float64{0.1, 0.2, 0.7, 0.3})
+		winLo, winHi := []int{-1, 2, 3}, []int{6, 8, 87}
+		for _, src := range [][]int{{1, 4, 20}, {0, 3, 4}, {2, 2, 70}, {-1, 5, 86}, {5, 7, 3}} {
+			for _, bound := range bounds {
+				checkNodeRun(t, fmt.Sprintf("src %v bound %v", src, bound), b, winLo, winHi, src, edgeX, nodeX, bound, pools)
+			}
+		}
+	})
+
+	t.Run("3axis-width-1", func(t *testing.T) {
+		// One cell wide along x, along y, and along w in turn; the source
+		// is off the origin on the other two axes.
+		b := NewBox([]int{0, 0, 0}, []int{5, 5, 100})
+		edgeX, nodeX := quantizedWeights(rng, b, []float64{0.1, 0.2, 0.7, 0.3})
+		for _, c := range []struct{ lo, hi, src []int }{
+			{[]int{2, 0, 0}, []int{3, 5, 100}, []int{2, 1, 30}}, // x
+			{[]int{0, 3, 0}, []int{5, 4, 100}, []int{1, 3, 30}}, // y
+			{[]int{0, 0, 40}, []int{5, 5, 41}, []int{1, 2, 40}}, // w
+		} {
+			for _, bound := range bounds {
+				checkNodeRun(t, fmt.Sprintf("window %v–%v bound %v", c.lo, c.hi, bound), b, c.lo, c.hi, c.src, edgeX, nodeX, bound, pools)
+			}
+		}
+	})
+
+	t.Run("3axis-wide", func(t *testing.T) {
+		// Rows far longer than 64 cells: a 2×2 window like a 64² grid's,
+		// and wider ones, at the box edge and inset.
+		b := NewBox([]int{0, 0, 0}, []int{6, 6, 300})
+		edgeX, nodeX := quantizedWeights(rng, b, []float64{0, 0.25, 0.5, 0.125})
+		for _, w := range [][6]int{{0, 0, 0, 2, 2, 128}, {0, 0, 0, 6, 6, 300}, {1, 2, 5, 5, 6, 290}} {
+			winLo, winHi := []int{w[0], w[1], w[2]}, []int{w[3], w[4], w[5]}
+			for _, bound := range []float64{Inf, 3} {
+				checkNodeRun(t, fmt.Sprintf("window %v bound %v", w, bound), b, winLo, winHi, winLo, edgeX, nodeX, bound, pools)
+			}
+		}
+	})
+
+	t.Run("3axis-split-rows", func(t *testing.T) {
+		// A pool chunk is ⌈cols / (4·bands)⌉ flattened columns; with 70
+		// cells per (j, k) row none of these windows' chunks is a whole
+		// number of rows, so chunks start and end inside a row.
+		b := NewBox([]int{0, 0, 0}, []int{6, 4, 70})
+		edgeX, nodeX := quantizedWeights(rng, b, []float64{0.1, 0.2, 0.7, 0.3})
+		for _, src := range [][]int{{0, 0, 0}, {1, 1, 9}, {2, 0, 33}} {
+			for _, bound := range bounds {
+				checkNodeRun(t, fmt.Sprintf("src %v bound %v", src, bound), b, b.Lo, b.Hi, src, edgeX, nodeX, bound, pools)
+			}
+		}
+		for _, p := range pools {
+			dp := b.NewDP()
+			dp.SetPool(p)
+			dp.RunFlat(b.Lo, b.Hi, b.Lo, edgeX, nodeX)
+			if dp.par.chunk%b.Dim(2) == 0 {
+				t.Fatalf("pool%d: chunk of %d columns holds whole rows", p.Workers(), dp.par.chunk)
 			}
 		}
 	})

@@ -193,10 +193,13 @@ func (dp *DP) runBand(band int) {
 		if c1 > ps.cols {
 			c1 = ps.cols
 		}
-		if dp.box.D() == 2 {
-			dp.runChunk2(ps.bandLo[band], ps.bandLo[band+1], c0, c1)
-		} else {
-			dp.runChunkGeneric(ps.bandLo[band], ps.bandLo[band+1], c0, c1)
+		switch r0, r1 := ps.bandLo[band], ps.bandLo[band+1]; {
+		case dp.box.D() == 2:
+			dp.runChunk2(r0, r1, c0, c1)
+		case dp.box.D() == 3 && ps.nodeX != nil:
+			dp.pullChunk3(r0, r1, c0, c1)
+		default:
+			dp.runChunkGeneric(r0, r1, c0, c1)
 		}
 		ps.progress[band].Store(int64(j + 1))
 	}
@@ -250,7 +253,10 @@ func (dp *DP) runChunk2(r0, r1, c0, c1 int) {
 
 // runChunkGeneric is runChunk2 for any dimensionality ≤ maxParAxes: the
 // rest-space coordinates (axes 1..d−1) are decoded once per row-chunk into
-// stack scratch and advanced with an odometer.
+// stack scratch and advanced with an odometer. It serves the windows no
+// tuned kernel covers — 3-axis runs with nil nodeX and boxes with 4 or more
+// axes — serially and on pool bands; node-weighted 3-axis runs take
+// pullChunk3 and 2-axis runs the runPull2/runChunk2 kernels.
 //
 //gridroute:hotpath
 func (dp *DP) runChunkGeneric(r0, r1, c0, c1 int) {

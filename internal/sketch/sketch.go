@@ -366,17 +366,9 @@ func (s *Session) PrepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTi
 //gridroute:hotpath
 func (s *Session) extractRoute(out *Route) bool {
 	wa := s.g.ST.G.D()
-	best := math.Inf(1)
-	bestW := 0
 	probe := s.probe
 	copy(probe, s.dstTile)
-	for w := s.rayLo; w <= s.rayHi; w++ {
-		probe[wa] = w
-		if c := s.dp.CostAt(probe); c < best {
-			best = c
-			bestW = w
-		}
-	}
+	best, bestW := s.dp.MinCostRay(probe, wa, s.rayLo, s.rayHi)
 	if math.IsInf(best, 1) {
 		return false
 	}
