@@ -52,17 +52,6 @@ func BenchmarkHotPath(b *testing.B) {
 			p.Offer(path, 0)
 		}
 	})
-	b.Run("PackerOfferSparse", func(b *testing.B) {
-		b.ReportAllocs()
-		caps := []float64{3, 5}
-		p := ipp.New(1<<30, func(e ipp.EdgeID) float64 { return caps[int(e)%2] })
-		path := []ipp.EdgeID{0, 1, 2, 3, 4, 5, 6, 7}
-		p.Offer(path, p.Cost(path))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Offer(path, 0)
-		}
-	})
 	b.Run("DPRunFlat", func(b *testing.B) {
 		b.ReportAllocs()
 		box := lattice.NewBox([]int{0, 0}, []int{48, 48})
@@ -134,42 +123,6 @@ func BenchmarkHotPath(b *testing.B) {
 		cells := 2 * 2 * (winHi[2] - winLo[2])
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 	})
-	b.Run("DPRerunFlat", func(b *testing.B) {
-		// Incremental repair after a single edge-weight change — the kernel
-		// behind the engine's warm-start admit path. The weight toggles
-		// between two values so every iteration does real repair work.
-		b.ReportAllocs()
-		box := lattice.NewBox([]int{0, 0}, []int{48, 48})
-		edgeX := make([]float64, box.Size()*2)
-		rng := rand.New(rand.NewSource(1))
-		for i := range edgeX {
-			edgeX[i] = rng.Float64()
-		}
-		dp := box.NewDP()
-		src := []int{0, 0}
-		dp.RunFlat(box.Lo, box.Hi, src, edgeX, nil)
-		// An edge near the sink keeps the dirty cone small, matching the
-		// sparse-commit shape RerunFlat is built for.
-		tile := box.Index([]int{40, 40})
-		head, _ := box.Step(tile, 0)
-		seeds := []int{head}
-		e := tile*2 + 0
-		w0 := edgeX[e]
-		if !dp.RerunFlat(seeds, edgeX, nil, 0) {
-			b.Fatal("warm rerun refused")
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%2 == 0 {
-				edgeX[e] = w0 + 0.7
-			} else {
-				edgeX[e] = w0
-			}
-			if !dp.RerunFlat(seeds, edgeX, nil, 0) {
-				b.Fatal("warm rerun refused")
-			}
-		}
-	})
 	b.Run("DPRunClosure", func(b *testing.B) {
 		b.ReportAllocs()
 		box := lattice.NewBox([]int{0, 0}, []int{48, 48})
@@ -230,12 +183,11 @@ func BenchmarkHotPath(b *testing.B) {
 // rejects); Saturated pins the cost-reject steady state, which is the
 // 0-alloc path gated by alloc_test.go.
 func BenchmarkEngineAdmit(b *testing.B) {
-	newEngine := func(b *testing.B, noWarm bool) *engine.Engine {
+	newEngine := func(b *testing.B) *engine.Engine {
 		b.Helper()
 		g := grid.Line(64, 3, 3)
 		eng, err := engine.New(g, engine.Options{
 			Horizon: 256, PMax: core.PMaxDet(g), ExpectPackets: 4096,
-			NoWarmStart: noWarm,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -268,7 +220,7 @@ func BenchmarkEngineAdmit(b *testing.B) {
 	}
 	b.Run("Mixed", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := newEngine(b, false)
+		eng := newEngine(b)
 		ctx := context.Background()
 		pkt := engine.Packet{Src: grid.Vec{0}, Dst: grid.Vec{0}, Deadline: grid.InfDeadline}
 		b.ResetTimer()
@@ -312,37 +264,13 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
 	})
-	// Saturated measures the full-DP cost-reject steady state, so warm-start
-	// reuse is disabled (a warm engine would skip the DP entirely here — that
-	// path is the WarmStart sub-benchmark). The extra post-saturation admits
-	// before ResetTimer retire lazily-grown scratch state and branch-predictor
+	// Saturated measures the cost-reject steady state: every admit runs the
+	// full DP and is rejected. The extra post-saturation admits before
+	// ResetTimer retire lazily-grown scratch state and branch-predictor
 	// cold starts that previously spread the baseline by ~75%.
 	b.Run("Saturated", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := newEngine(b, true)
-		ctx := context.Background()
-		pkt := engine.Packet{Src: grid.Vec{4}, Dst: grid.Vec{40}, Deadline: grid.InfDeadline}
-		saturate(b, eng, pkt)
-		for i := 0; i < 256; i++ {
-			if _, err := eng.Admit(ctx, pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Admit(ctx, pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
-		drain(b, eng)
-	})
-	// WarmStart is Saturated with incremental DP reuse left on (the default
-	// engine configuration): repeated queries of an unchanged packer hit the
-	// version-delta-0 path and skip the DP outright.
-	b.Run("WarmStart", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := newEngine(b, false)
+		eng := newEngine(b)
 		ctx := context.Background()
 		pkt := engine.Packet{Src: grid.Vec{4}, Dst: grid.Vec{40}, Deadline: grid.InfDeadline}
 		saturate(b, eng, pkt)

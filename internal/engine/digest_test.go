@@ -42,7 +42,7 @@ func TestEngineDecisionLogDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runDecisionLogDigest(t, g, reqs, false); got != want {
+	if got := runDecisionLogDigest(t, g, reqs); got != want {
 		t.Fatalf("decision-log digest %#016x, want %#016x", got, want)
 	}
 }
@@ -50,29 +50,25 @@ func TestEngineDecisionLogDigest(t *testing.T) {
 // TestEngineGridDecisionLogDigest pins the decision log on a 16×16 grid to a
 // digest recorded before the node-weighted 3-axis pull kernel existed. The
 // tiled DP windows are 3-axis (x, y, w), and about 28% of the 1024
-// transpose packets are rejected on cost. The cold run (no warm start) sends
-// every query through a full RunFlat; the warm run must decide identically.
+// transpose packets are rejected on cost.
 func TestEngineGridDecisionLogDigest(t *testing.T) {
 	const want uint64 = 0xf9b4a34cec837166
 	g, reqs, err := scenario.Generate("transpose", map[string]float64{"n": 16, "waves": 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cold := range []bool{true, false} {
-		if got := runDecisionLogDigest(t, g, reqs, cold); got != want {
-			t.Fatalf("cold %v: decision-log digest %#016x, want %#016x", cold, got, want)
-		}
+	if got := runDecisionLogDigest(t, g, reqs); got != want {
+		t.Fatalf("decision-log digest %#016x, want %#016x", got, want)
 	}
 }
 
 // runDecisionLogDigest admits reqs one at a time in seq order on a serial
 // engine, drains it, and returns the digest of its decision log.
-func runDecisionLogDigest(t *testing.T, g *grid.Grid, reqs []grid.Request, noWarmStart bool) uint64 {
+func runDecisionLogDigest(t *testing.T, g *grid.Grid, reqs []grid.Request) uint64 {
 	t.Helper()
 	eng, err := engine.New(g, engine.Options{
 		Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g),
 		Queue: 1, ExpectPackets: len(reqs), RecordDecisions: true,
-		NoWarmStart: noWarmStart,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -163,10 +163,6 @@ type Options struct {
 	// sweep, so every decision (and all downstream output) is independent of
 	// the setting. ≤ 1 disables the pool.
 	DPWorkers int
-	// NoWarmStart disables incremental DP reuse between successive admits
-	// (sketch.Session warm start). Warm and cold engines decide identically;
-	// the switch exists for parity tests and benchmarks.
-	NoWarmStart bool
 	// GapTimeout arms the InOrder gap watchdog: if the consumer waits this
 	// long for the next expected Seq while later packets sit parked behind
 	// the gap, it records a *GapError (see Engine.Err) naming the missing
@@ -348,7 +344,7 @@ type Engine struct {
 }
 
 // New builds the engine's persistent routing state — space-time graph,
-// tiling, sketch, one query session, one dense packer, exactly as the batch
+// tiling, sketch, one query session, one packer, exactly as the batch
 // deterministic algorithm does — and starts the consumer loop. With
 // Options.WALPath set it also creates (truncating) the write-ahead decision
 // log; use Recover to resume an existing log instead.
@@ -401,8 +397,8 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	}
 	tl := tiling.New(st.Box, side, phase)
 	sk := sketch.New(st, tl, sketch.Downscaled)
-	// Splitting tiles doubles path length plus one (Sec. 5.1); dense mode,
-	// same as the batch path.
+	// Splitting tiles doubles path length plus one (Sec. 5.1), same as the
+	// batch path.
 	pk := ipp.NewDense(2*opts.PMax+1, sk.Cap, sk.Universe())
 
 	e := &Engine{
@@ -428,9 +424,6 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if opts.DPWorkers > 1 {
 		e.dpPool = lattice.NewPool(opts.DPWorkers)
 		e.sess.SetDPPool(e.dpPool)
-	}
-	if opts.NoWarmStart {
-		e.sess.SetWarmStart(false)
 	}
 	e.pool.New = func() any {
 		return &pending{

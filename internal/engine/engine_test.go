@@ -345,48 +345,6 @@ func TestEngineDrainLeak(t *testing.T) {
 	}
 }
 
-// TestEngineWarmStartParity is the engine-level warm-start gate: the default
-// engine (incremental DP reuse on) must produce exactly the decision log —
-// verdicts, costs, admitted set, certificates — of an engine with
-// NoWarmStart, across a workload dense enough to hit the delta-0 skip,
-// the delta-1 incremental rerun, and the window-change cache miss. Runs
-// with -count=3 under -race in CI.
-func TestEngineWarmStartParity(t *testing.T) {
-	g, reqs, opts := workload(t, 48, 300, 64, 13)
-	opts.RecordDecisions = true
-	// Duplicate bursts: consecutive identical packets (fresh seqs) force the
-	// version-delta-0 and delta-1 warm paths repeatedly.
-	burst := make([]grid.Request, 0, 2*len(reqs))
-	nextID := 0
-	for i := range reqs {
-		n := 1 + i%3
-		for j := 0; j < n; j++ {
-			r := reqs[i]
-			r.ID = nextID
-			nextID++
-			burst = append(burst, r)
-		}
-	}
-
-	coldOpts := opts
-	coldOpts.NoWarmStart = true
-	_, coldRes := stream(t, g, burst, coldOpts)
-	_, warmRes := stream(t, g, burst, opts)
-
-	if !reflect.DeepEqual(stripWait(coldRes.Decisions), stripWait(warmRes.Decisions)) {
-		t.Fatal("warm-start engine decision log diverges from cold engine")
-	}
-	if warmRes.MaxLoad != coldRes.MaxLoad || warmRes.PrimalValue != coldRes.PrimalValue ||
-		warmRes.Throughput != coldRes.Throughput || len(warmRes.Admitted) != len(coldRes.Admitted) {
-		t.Fatalf("warm-start result diverges: (%v,%v,%d,%d) vs (%v,%v,%d,%d)",
-			warmRes.MaxLoad, warmRes.PrimalValue, warmRes.Throughput, len(warmRes.Admitted),
-			coldRes.MaxLoad, coldRes.PrimalValue, coldRes.Throughput, len(coldRes.Admitted))
-	}
-	if len(warmRes.Admitted) == 0 {
-		t.Fatal("no admissions: warm paths not exercised")
-	}
-}
-
 // TestEngineDPWorkersParity: the engine must make bit-identical decisions at
 // any DPWorkers setting — the wavefront pool is a pure throughput knob.
 func TestEngineDPWorkersParity(t *testing.T) {

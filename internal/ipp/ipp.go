@@ -15,27 +15,22 @@
 // optimal fractional throughput over paths of ≤ pmax edges — this is the
 // certified OPT upper bound used across the benchmark harness (DESIGN.md §2).
 //
-// Two storage backends exist. New keeps x and flow in maps keyed by EdgeID —
-// the right choice for sparse or open-ended id spaces. NewDense stores them
-// in flat slices over a known edge universe (a space-time box has exactly
-// box.Size()·(d+1) edge ids); every hot path in the repository uses the
-// dense mode, whose weight slice the lightest-path DP indexes directly (see
-// lattice.DP.RunFlat). Both backends memoize the per-capacity constants
-// 2^{1/c} and (2^{1/c}−1)/pmax — a grid has at most two distinct finite
-// capacities (B and c), so after warm-up Offer never calls math.Exp2.
+// The packer stores x and flow in flat slices over a known edge universe
+// (a space-time box has exactly box.Size()·(d+1) edge ids), so the
+// lightest-path DP indexes the weight slice directly (see
+// lattice.DP.RunFlat). It memoizes the per-capacity constants 2^{1/c} and
+// (2^{1/c}−1)/pmax — a grid has at most two distinct finite capacities (B and
+// c), so after warm-up Offer never calls math.Exp2.
 //
 // Guarantees (Thm 1): throughput ≥ ½·opt_f, and every edge load
 // flow(e)/c(e) is at most log₂(1 + 3·pmax).
 package ipp
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // EdgeID identifies an edge in the caller's graph. Callers choose their own
-// id scheme (lattice edges, interior edges of split tiles, …). In dense mode
-// ids must lie in [0, universe).
+// id scheme (lattice edges, interior edges of split tiles, …); ids must lie
+// in [0, universe).
 type EdgeID int64
 
 // CapFunc returns an edge capacity. Capacities must be ≥ 1 (Thm 1
@@ -55,15 +50,8 @@ type Packer struct {
 	pmax float64
 	cap  CapFunc
 
-	// Sparse backend (nil in dense mode).
-	//gridroute:versioned
-	x    map[EdgeID]float64
-	flow map[EdgeID]int
-
-	// Dense backend (nil in sparse mode).
-	//gridroute:versioned
-	xs    []float64
-	flows []int32
+	xs    []float64 // x_e, indexed by EdgeID
+	flows []int32   // committed paths per edge
 
 	// memo holds the constants per distinct finite capacity seen so far.
 	// Grids have ≤ 2 entries (B and c), so lookup is a short linear scan.
@@ -74,40 +62,18 @@ type Packer struct {
 	primalEdges float64 // Σ x_e·c(e)
 	primalZ     float64 // Σ z_i
 	maxLoad     float64
-
-	// Incremental commit state: version counts committed paths, last holds
-	// the edge ids whose weights changed in the most recent commit (reused
-	// buffer). Incremental consumers — the streaming engine's metrics, and
-	// warm-start DP re-relaxation — key off these instead of rescanning the
-	// weight universe. Every write to the //gridroute:versioned weight state
-	// must follow a version bump in the same function (gridlint lockorder).
-	version atomic.Uint64
-	last    []EdgeID
 }
 
-// New creates a map-backed packer for paths of at most pmax edges.
-func New(pmax int, capFn CapFunc) *Packer {
-	if pmax < 1 {
-		panic("ipp: pmax must be ≥ 1")
-	}
-	return &Packer{
-		pmax: float64(pmax),
-		cap:  capFn,
-		x:    make(map[EdgeID]float64),
-		flow: make(map[EdgeID]int),
-	}
-}
-
-// NewDense creates a packer whose edge state lives in flat slices over the
-// id universe [0, universe). Steady-state Offer calls are allocation-free,
-// and Weights exposes the weight slice for direct indexing by lightest-path
-// oracles.
+// NewDense creates a packer for paths of at most pmax edges whose edge state
+// lives in flat slices over the id universe [0, universe). Steady-state Offer
+// calls are allocation-free, and Weights exposes the weight slice for direct
+// indexing by lightest-path oracles.
 func NewDense(pmax int, capFn CapFunc, universe int) *Packer {
 	if pmax < 1 {
 		panic("ipp: pmax must be ≥ 1")
 	}
 	if universe < 1 {
-		panic("ipp: dense universe must be ≥ 1")
+		panic("ipp: universe must be ≥ 1")
 	}
 	return &Packer{
 		pmax:  float64(pmax),
@@ -120,31 +86,19 @@ func NewDense(pmax int, capFn CapFunc, universe int) *Packer {
 // PMax returns the path-length bound.
 func (p *Packer) PMax() int { return int(p.pmax) }
 
-// Weights returns the dense weight slice, indexed by EdgeID, or nil for a
-// map-backed packer. Oracles use it to read edge weights without a call per
-// edge; they must not write to it.
+// Weights returns the weight slice, indexed by EdgeID. Oracles use it to read
+// edge weights without a call per edge; they must not write to it.
 func (p *Packer) Weights() []float64 { return p.xs }
 
 // Weight returns the current weight x_e. The caller's lightest-path oracle
 // uses this as the edge length.
-func (p *Packer) Weight(e EdgeID) float64 {
-	if p.xs != nil {
-		return p.xs[e]
-	}
-	return p.x[e]
-}
+func (p *Packer) Weight(e EdgeID) float64 { return p.xs[e] }
 
 // Cost returns α(path) = Σ x_e over the given edges.
 func (p *Packer) Cost(path []EdgeID) float64 {
 	var c float64
-	if p.xs != nil {
-		for _, e := range path {
-			c += p.xs[e]
-		}
-		return c
-	}
 	for _, e := range path {
-		c += p.x[e]
+		c += p.xs[e]
 	}
 	return c
 }
@@ -182,20 +136,17 @@ func (p *Packer) Offer(path []EdgeID, cost float64) bool {
 		// Oracle bug guard: legal paths must have ≤ pmax edges.
 		panic("ipp: offered path longer than pmax")
 	}
-	if p.xs != nil {
-		p.commitDense(path)
-	} else {
-		p.commitSparse(path)
-	}
+	p.commit(path)
 	p.primalZ += 1 - cost
 	p.accepted++
 	return true
 }
 
+// commit routes one accepted path: it bumps each edge's flow and applies the
+// Thm-1 weight update to its capacitated edges.
+//
 //gridroute:hotpath
-func (p *Packer) commitDense(path []EdgeID) {
-	p.version.Add(1)
-	p.last = p.last[:0]
+func (p *Packer) commit(path []EdgeID) {
 	for _, e := range path {
 		ce := p.cap(e)
 		f := p.flows[e] + 1
@@ -208,48 +159,12 @@ func (p *Packer) commitDense(path []EdgeID) {
 		old := p.xs[e]
 		nw := old*g + add
 		p.xs[e] = nw
-		p.last = append(p.last, e)
 		p.primalEdges += (nw - old) * ce
 		if load := float64(f) / ce; load > p.maxLoad {
 			p.maxLoad = load
 		}
 	}
 }
-
-//gridroute:hotpath
-func (p *Packer) commitSparse(path []EdgeID) {
-	p.version.Add(1)
-	p.last = p.last[:0]
-	for _, e := range path {
-		ce := p.cap(e)
-		f := p.flow[e] + 1
-		p.flow[e] = f
-		if math.IsInf(ce, 1) {
-			continue
-		}
-		g, add := p.growth(ce)
-		old := p.x[e]
-		nw := old*g + add
-		p.x[e] = nw
-		p.last = append(p.last, e)
-		p.primalEdges += (nw - old) * ce
-		if load := float64(f) / ce; load > p.maxLoad {
-			p.maxLoad = load
-		}
-	}
-}
-
-// Version returns the number of committed paths so far. It increases by
-// exactly one per accepted Offer, so a consumer holding weights derived from
-// version v knows the weight state is unchanged while Version() == v — the
-// contract incremental oracles (warm-start DP, streaming metrics) build on.
-func (p *Packer) Version() uint64 { return p.version.Load() }
-
-// LastCommitted returns the edge ids whose weights changed in the most
-// recent committed offer (the path minus its uncapacitated edges). The slice
-// is a view into a reused buffer: valid until the next accepted Offer, must
-// not be mutated. It is empty before the first accept.
-func (p *Packer) LastCommitted() []EdgeID { return p.last }
 
 // Accepted returns the number of routed requests (the dual objective).
 func (p *Packer) Accepted() int { return p.accepted }
@@ -258,12 +173,7 @@ func (p *Packer) Accepted() int { return p.accepted }
 func (p *Packer) Rejected() int { return p.rejected }
 
 // Flow returns the number of committed paths using edge e.
-func (p *Packer) Flow(e EdgeID) int {
-	if p.xs != nil {
-		return int(p.flows[e])
-	}
-	return p.flow[e]
-}
+func (p *Packer) Flow(e EdgeID) int { return int(p.flows[e]) }
 
 // Load returns flow(e)/c(e).
 func (p *Packer) Load(e EdgeID) float64 {

@@ -11,7 +11,7 @@ import (
 func constCap(c float64) CapFunc { return func(EdgeID) float64 { return c } }
 
 func TestSingleEdgeSaturates(t *testing.T) {
-	p := New(1, constCap(1))
+	p := NewDense(1, constCap(1), 1)
 	if !p.Offer([]EdgeID{0}, p.Cost([]EdgeID{0})) {
 		t.Fatal("first request should be accepted")
 	}
@@ -37,12 +37,12 @@ func TestSingleEdgeSaturates(t *testing.T) {
 
 func TestInfiniteCapacityEdgesStayFree(t *testing.T) {
 	inf := math.Inf(1)
-	p := New(4, func(e EdgeID) float64 {
+	p := NewDense(4, func(e EdgeID) float64 {
 		if e == 99 {
 			return inf
 		}
 		return 2
-	})
+	}, 100)
 	path := []EdgeID{1, 99}
 	for i := 0; i < 3; i++ {
 		p.Offer(path, p.Cost(path))
@@ -59,7 +59,7 @@ func TestInfiniteCapacityEdgesStayFree(t *testing.T) {
 }
 
 func TestNilPathRejects(t *testing.T) {
-	p := New(2, constCap(1))
+	p := NewDense(2, constCap(1), 1)
 	if p.Offer(nil, Inf()) {
 		t.Fatal("nil path must reject")
 	}
@@ -101,7 +101,7 @@ func runTheorem1Trial(t *testing.T, rng *rand.Rand, numReq int) {
 	}
 	capFn := func(e EdgeID) float64 { return capArr[e] }
 	pmax := nx + ny // all source→dest paths fit
-	p := New(pmax, capFn)
+	p := NewDense(pmax, capFn, len(capArr))
 	dp := box.NewDP()
 
 	for i := 0; i < numReq; i++ {
@@ -135,7 +135,7 @@ func runTheorem1Trial(t *testing.T, rng *rand.Rand, numReq int) {
 }
 
 func TestWeightMonotone(t *testing.T) {
-	p := New(8, constCap(2))
+	p := NewDense(8, constCap(2), 6)
 	path := []EdgeID{3, 4, 5}
 	last := 0.0
 	for i := 0; i < 10; i++ {
@@ -154,13 +154,58 @@ func TestPanicOnLongPath(t *testing.T) {
 			t.Fatal("expected panic for path longer than pmax")
 		}
 	}()
-	p := New(1, constCap(1))
+	p := NewDense(1, constCap(1), 3)
 	p.Offer([]EdgeID{1, 2}, 0)
 }
 
-// TestDenseMatchesSparse drives the same offer sequence through the map and
-// flat-array backends and requires bit-identical state: weights, flows,
-// primal value, counters.
+// mapPacker is an independent reference of the Thm-1 packer: x and flow in
+// maps, the weight update evaluated with math.Exp2 on every commit, and the
+// same accept test and primal/load bookkeeping.
+type mapPacker struct {
+	pmax        float64
+	cap         CapFunc
+	x           map[EdgeID]float64
+	flow        map[EdgeID]int
+	accepted    int
+	rejected    int
+	primalEdges float64
+	primalZ     float64
+	maxLoad     float64
+}
+
+func (r *mapPacker) cost(path []EdgeID) float64 {
+	var c float64
+	for _, e := range path {
+		c += r.x[e]
+	}
+	return c
+}
+
+func (r *mapPacker) offer(path []EdgeID, cost float64) bool {
+	if path == nil || cost >= 1 {
+		r.rejected++
+		return false
+	}
+	for _, e := range path {
+		ce := r.cap(e)
+		r.flow[e]++
+		if math.IsInf(ce, 1) {
+			continue
+		}
+		g := math.Exp2(1 / ce)
+		old := r.x[e]
+		r.x[e] = old*g + (g-1)/r.pmax
+		r.primalEdges += (r.x[e] - old) * ce
+		r.maxLoad = math.Max(r.maxLoad, float64(r.flow[e])/ce)
+	}
+	r.primalZ += 1 - cost
+	r.accepted++
+	return true
+}
+
+// TestDenseMatchesSparse drives the same offer sequence through the packer
+// and the map-based reference above and requires bit-identical state:
+// weights, flows, primal value, counters and max load.
 func TestDenseMatchesSparse(t *testing.T) {
 	const universe = 64
 	capArr := make([]float64, universe)
@@ -171,10 +216,10 @@ func TestDenseMatchesSparse(t *testing.T) {
 	capArr[7] = math.Inf(1) // one sink edge
 	capFn := func(e EdgeID) float64 { return capArr[e] }
 
-	sparse := New(6, capFn)
+	ref := &mapPacker{pmax: 6, cap: capFn, x: map[EdgeID]float64{}, flow: map[EdgeID]int{}}
 	densePk := NewDense(6, capFn, universe)
-	if densePk.Weights() == nil || sparse.Weights() != nil {
-		t.Fatal("Weights() must expose the dense slice and nil for maps")
+	if len(densePk.Weights()) != universe {
+		t.Fatalf("Weights() has %d entries, want the %d-edge universe", len(densePk.Weights()), universe)
 	}
 	for i := 0; i < 300; i++ {
 		n := 1 + rng.Intn(6)
@@ -182,30 +227,33 @@ func TestDenseMatchesSparse(t *testing.T) {
 		for j := range path {
 			path[j] = EdgeID(rng.Intn(universe))
 		}
-		c1 := sparse.Cost(path)
+		c1 := ref.cost(path)
 		c2 := densePk.Cost(path)
 		if c1 != c2 {
-			t.Fatalf("offer %d: cost %v (sparse) != %v (dense)", i, c1, c2)
+			t.Fatalf("offer %d: cost %v (reference) != %v (packer)", i, c1, c2)
 		}
-		if sparse.Offer(path, c1) != densePk.Offer(path, c2) {
+		if ref.offer(path, c1) != densePk.Offer(path, c2) {
 			t.Fatalf("offer %d: accept decision diverged", i)
 		}
 	}
 	for e := 0; e < universe; e++ {
-		if sparse.Weight(EdgeID(e)) != densePk.Weight(EdgeID(e)) {
-			t.Fatalf("edge %d: weight %v != %v", e, sparse.Weight(EdgeID(e)), densePk.Weight(EdgeID(e)))
+		if ref.x[EdgeID(e)] != densePk.Weight(EdgeID(e)) {
+			t.Fatalf("edge %d: weight %v != %v", e, ref.x[EdgeID(e)], densePk.Weight(EdgeID(e)))
 		}
-		if sparse.Flow(EdgeID(e)) != densePk.Flow(EdgeID(e)) {
+		if ref.flow[EdgeID(e)] != densePk.Flow(EdgeID(e)) {
 			t.Fatalf("edge %d: flow diverged", e)
 		}
 	}
-	if sparse.PrimalValue() != densePk.PrimalValue() ||
-		sparse.Accepted() != densePk.Accepted() ||
-		sparse.Rejected() != densePk.Rejected() ||
-		sparse.MaxLoad() != densePk.MaxLoad() {
+	if ref.primalEdges+ref.primalZ != densePk.PrimalValue() ||
+		ref.accepted != densePk.Accepted() ||
+		ref.rejected != densePk.Rejected() ||
+		ref.maxLoad != densePk.MaxLoad() {
 		t.Fatalf("aggregate state diverged: primal %v/%v accepted %d/%d rejected %d/%d load %v/%v",
-			sparse.PrimalValue(), densePk.PrimalValue(), sparse.Accepted(), densePk.Accepted(),
-			sparse.Rejected(), densePk.Rejected(), sparse.MaxLoad(), densePk.MaxLoad())
+			ref.primalEdges+ref.primalZ, densePk.PrimalValue(), ref.accepted, densePk.Accepted(),
+			ref.rejected, densePk.Rejected(), ref.maxLoad, densePk.MaxLoad())
+	}
+	if ref.accepted == 0 || ref.rejected == 0 {
+		t.Fatalf("degenerate sequence: %d accepted, %d rejected", ref.accepted, ref.rejected)
 	}
 }
 

@@ -191,7 +191,8 @@ type NodeWeight func(id int) float64
 var Inf = math.Inf(1)
 
 // DP computes lightest directed paths inside a window of a box. A DP value is
-// reusable across calls to Run; it grows its buffers as needed.
+// reusable across calls to Run, RunFlat and RunFlatBounded; it grows its
+// buffers as needed.
 //
 // Path cost convention: cost(path) = Σ_nodes nodeW(v) + Σ_edges edgeW(e),
 // where the sum over nodes includes both endpoints. This matches the
@@ -210,22 +211,20 @@ type DP struct {
 	pt     []int // odometer scratch
 	valid  bool
 
-	srcW       int     // window index of the source (meaningful when valid)
-	winBoxBase int     // box.Index(winLo): box id of the window origin
-	lastBound  float64 // relaxation bound of the last flat run (Inf = exact)
-	flatRun    bool    // last run used flat slices (RerunFlat precondition)
+	srcW       int // window index of the source (meaningful when valid)
+	winBoxBase int // box.Index(winLo): box id of the window origin
 
 	pool *Pool    // optional wavefront worker pool (nil = always serial)
 	par  parState // per-run parallel bookkeeping (reused)
-
-	heap      []int32  // RerunFlat frontier: binary min-heap of window ids
-	mark      []uint32 // epoch-stamped in-frontier marks
-	markEpoch uint32
 }
 
-// NewDP returns a DP bound to box.
+// NewDP returns a DP bound to box. Boxes of more than maxParAxes (16) axes
+// are rejected: the flat kernels keep per-axis offsets in fixed-size arrays.
 func (b *Box) NewDP() *DP {
 	d := len(b.Lo)
+	if d > maxParAxes {
+		panic(fmt.Sprintf("lattice: NewDP on a %d-axis box; at most %d axes are supported", d, maxParAxes))
+	}
 	return &DP{
 		box:   b,
 		winLo: make([]int, d), winHi: make([]int, d),
@@ -257,8 +256,8 @@ func (dp *DP) inWindow(p []int) bool {
 // It returns the window index of src, or ok=false when the window is empty
 // or src lies outside it. Buffers are reused across calls, so a warm DP
 // allocates nothing. The buffers are NOT reset here: the pull kernels (serial
-// and parallel) write every node themselves; only the push fallback and the
-// closure-based Run call resetState.
+// and parallel) write every node themselves; only the closure-based Run calls
+// resetState.
 //
 //gridroute:hotpath
 func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
@@ -322,8 +321,6 @@ func (dp *DP) Run(winLo, winHi, src []int, edgeW EdgeWeight, nodeW NodeWeight) {
 	if !ok {
 		return
 	}
-	dp.flatRun = false
-	dp.lastBound = Inf
 	dp.resetState()
 	if nodeW != nil {
 		dp.cost[srcW] = nodeW(dp.box.Index(src))
@@ -375,7 +372,7 @@ func (dp *DP) Run(winLo, winHi, src []int, edgeW EdgeWeight, nodeW NodeWeight) {
 // slices instead of per-edge closures: the edge leaving node id along axis a
 // costs edgeX[id·D+a] (D = box.D()), and visiting node id costs nodeX[id]
 // (nil nodeX means zero node weights). This is the packing hot path: the
-// slices are an ipp dense packer's weight universe, indexed directly with no
+// slices are an ipp packer's weight universe, indexed directly with no
 // call or hash per relaxation. Which kernel serves a run depends on the box
 // and on nodeX:
 //
@@ -386,7 +383,6 @@ func (dp *DP) Run(winLo, winHi, src []int, edgeW EdgeWeight, nodeW NodeWeight) {
 //   - 3 axes, node-weighted (the Downscaled sketch session on a 2-D grid):
 //     pullChunk3.
 //   - 3 axes with nil nodeX, and 4 to maxParAxes axes: runChunkGeneric.
-//   - more than maxParAxes axes: the push sweep runFlatGeneric.
 //
 // The serial sweep and the pool's bands run the same kernel for each case
 // but the 2-axis nil-nodeX one.
@@ -420,49 +416,35 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	if !ok {
 		return
 	}
-	dp.flatRun = true
-	dp.lastBound = bound
-	if p := dp.pool; p != nil && p.Workers() > 1 && dp.box.D() <= maxParAxes &&
+	if p := dp.pool; p != nil && p.Workers() > 1 &&
 		dp.wsize >= p.minWindow() && dp.wdims[0] >= 2 {
 		if dp.runFlatParallel(edgeX, nodeX, bound) {
 			return
 		}
 	}
 	// Serial pull sweep: every window node is computed from its (already
-	// final) predecessors and written exactly once, so the O(window) Inf/−1
-	// reset pass the push sweep needs disappears entirely — it was ~15% of
-	// a full run. Bit-identity with the push order is the same argument the
-	// parallel kernel rests on (see parallel.go's package comment). The
-	// push sweep remains only for d > maxParAxes, where the pull odometer's
-	// stack scratch runs out.
-	if dp.box.D() <= maxParAxes {
-		ps := &dp.par
-		ps.edgeX, ps.nodeX, ps.bound = edgeX, nodeX, bound
-		rows := dp.wdims[0]
-		ps.cols = dp.wsize / rows
-		if nodeX != nil {
-			dp.cost[srcW] = nodeX[dp.box.Index(src)]
-		} else {
-			dp.cost[srcW] = 0
-		}
-		dp.pred[srcW] = -1
-		switch {
-		case dp.box.D() == 2:
-			dp.runPull2()
-		case dp.box.D() == 3 && nodeX != nil:
-			dp.pullChunk3(0, rows, 0, ps.cols)
-		default:
-			dp.runChunkGeneric(0, rows, 0, ps.cols)
-		}
-		return
-	}
-	dp.resetState()
+	// final) predecessors and written exactly once, so no O(window) Inf/−1
+	// reset pass is needed. Bit-identity with the push order is the same
+	// argument the parallel kernel rests on (see parallel.go's package
+	// comment).
+	ps := &dp.par
+	ps.edgeX, ps.nodeX, ps.bound = edgeX, nodeX, bound
+	rows := dp.wdims[0]
+	ps.cols = dp.wsize / rows
 	if nodeX != nil {
 		dp.cost[srcW] = nodeX[dp.box.Index(src)]
 	} else {
 		dp.cost[srcW] = 0
 	}
-	dp.runFlatGeneric(edgeX, nodeX, bound)
+	dp.pred[srcW] = -1
+	switch {
+	case dp.box.D() == 2:
+		dp.runPull2()
+	case dp.box.D() == 3 && nodeX != nil:
+		dp.pullChunk3(0, rows, 0, ps.cols)
+	default:
+		dp.runChunkGeneric(0, rows, 0, ps.cols)
+	}
 }
 
 // runPull2 is the serial d == 2 pull sweep for node-weighted runs (nil
@@ -926,49 +908,6 @@ func (dp *DP) fillDead(from, to int) {
 	}
 }
 
-// runFlatGeneric is the any-dimension serial push kernel (the original
-// RunFlat sweep, with the relaxation cutoff generalized from Inf to bound).
-// It survives only as the d > maxParAxes fallback; every d ≤ maxParAxes
-// window takes the pull path above.
-//
-//gridroute:hotpath
-func (dp *DP) runFlatGeneric(edgeX, nodeX []float64, bound float64) {
-	d := dp.box.D()
-	pt := dp.pt
-	copy(pt, dp.winLo)
-	boxID := dp.winBoxBase
-	for w := 0; w < dp.wsize; w++ {
-		c := dp.cost[w]
-		if c < bound {
-			base := boxID * d
-			for a := 0; a < d; a++ {
-				if pt[a]+1 >= dp.winHi[a] {
-					continue
-				}
-				nb := boxID + dp.box.stride[a]
-				nw := w + dp.wstr[a]
-				ec := c + edgeX[base+a]
-				if nodeX != nil {
-					ec += nodeX[nb]
-				}
-				if ec < dp.cost[nw] {
-					dp.cost[nw] = ec
-					dp.pred[nw] = int8(a)
-				}
-			}
-		}
-		for a := d - 1; a >= 0; a-- {
-			pt[a]++
-			boxID += dp.box.stride[a]
-			if pt[a] < dp.winHi[a] {
-				break
-			}
-			boxID -= dp.wdims[a] * dp.box.stride[a]
-			pt[a] = dp.winLo[a]
-		}
-	}
-}
-
 // CostAt returns the lightest-path cost from the source to p, or Inf if p is
 // outside the window or unreachable.
 //
@@ -1070,193 +1009,6 @@ func (dp *DP) PathInto(p []int, out *Path) bool {
 // results are bit-identical either way, so a pool can be attached to any DP
 // without changing observable behaviour.
 func (dp *DP) SetPool(p *Pool) { dp.pool = p }
-
-// boxToWin maps a box node id to its window index, reporting false when the
-// node lies outside the current window.
-//
-//gridroute:hotpath
-func (dp *DP) boxToWin(bid int) (int, bool) {
-	w := 0
-	for a := 0; a < dp.box.D(); a++ {
-		c := dp.box.Lo[a] + (bid/dp.box.stride[a])%dp.box.dims[a]
-		if c < dp.winLo[a] || c >= dp.winHi[a] {
-			return 0, false
-		}
-		w += (c - dp.winLo[a]) * dp.wstr[a]
-	}
-	return w, true
-}
-
-// pullNode recomputes the value of window node w from its in-window
-// predecessors, evaluating exactly the expressions the full flat sweep
-// evaluates (same float operation order, same strict-< tie-break with axes
-// considered in ascending order, same relaxation bound), so an unchanged
-// node reproduces its stored cost and predecessor bit for bit.
-//
-//gridroute:hotpath
-func (dp *DP) pullNode(w int, edgeX, nodeX []float64) (float64, int8) {
-	if w == dp.srcW {
-		if nodeX != nil {
-			return nodeX[dp.box.Index(dp.srcAbs)], -1
-		}
-		return 0, -1
-	}
-	d := dp.box.D()
-	bound := dp.lastBound
-	best, bp := Inf, int8(-1)
-	bID := dp.winBoxBase
-	rem := w
-	var off [maxParAxes]int
-	for a := 0; a < d; a++ {
-		off[a] = rem / dp.wstr[a]
-		rem %= dp.wstr[a]
-		bID += off[a] * dp.box.stride[a]
-	}
-	for a := 0; a < d; a++ {
-		if off[a] == 0 {
-			continue
-		}
-		pc := dp.cost[w-dp.wstr[a]]
-		if pc >= bound {
-			continue
-		}
-		ec := pc + edgeX[(bID-dp.box.stride[a])*d+a]
-		if nodeX != nil {
-			ec += nodeX[bID]
-		}
-		if ec < best {
-			best, bp = ec, int8(a)
-		}
-	}
-	return best, bp
-}
-
-// heapPush inserts w into the frontier min-heap.
-//
-//gridroute:hotpath
-func (dp *DP) heapPush(w int32) {
-	h := append(dp.heap, w)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	dp.heap = h
-}
-
-// heapPop removes and returns the smallest window index in the frontier.
-//
-//gridroute:hotpath
-func (dp *DP) heapPop() int32 {
-	h := dp.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			m = r
-		}
-		if h[i] <= h[m] {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	dp.heap = h
-	return top
-}
-
-// RerunFlat incrementally repairs the last flat run after a sparse weight
-// change, instead of re-relaxing the whole window. seeds are the box node
-// ids whose value may have changed directly: the head of every lattice edge
-// whose edgeX entry changed, plus every node whose nodeX entry changed
-// (seeds outside the window are ignored). The window, source, and weight
-// slices must be those of the last RunFlat/RunFlatBounded call, with only
-// the seeded entries modified.
-//
-// The frontier is processed in ascending window-index order (a topological
-// order), pulling each node's value fresh from its predecessors and
-// propagating to successors only when the stored cost or predecessor
-// actually changed — so the repaired state is bit-identical to a cold rerun.
-// maxFrontier caps the dirty set (≤ 0 picks wsize/8 + 64); on overflow, or
-// when no flat run is cached, RerunFlat returns false and invalidates the
-// DP: the caller must fall back to a full RunFlat.
-//
-//gridroute:hotpath
-func (dp *DP) RerunFlat(seeds []int, edgeX, nodeX []float64, maxFrontier int) bool {
-	if !dp.valid || !dp.flatRun {
-		return false
-	}
-	if maxFrontier <= 0 {
-		maxFrontier = dp.wsize/8 + 64
-	}
-	if cap(dp.mark) < dp.wsize {
-		dp.mark = make([]uint32, dp.wsize)
-		dp.markEpoch = 0
-	}
-	dp.mark = dp.mark[:dp.wsize]
-	dp.markEpoch++
-	if dp.markEpoch == 0 { // wrapped: one real clear every 2^32 reruns
-		for i := range dp.mark {
-			dp.mark[i] = 0
-		}
-		dp.markEpoch = 1
-	}
-	dp.heap = dp.heap[:0]
-	pushed := 0
-	for _, bid := range seeds {
-		w, ok := dp.boxToWin(bid)
-		if !ok || dp.mark[w] == dp.markEpoch {
-			continue
-		}
-		dp.mark[w] = dp.markEpoch
-		if pushed++; pushed > maxFrontier {
-			dp.valid = false
-			return false
-		}
-		dp.heapPush(int32(w))
-	}
-	d := dp.box.D()
-	for len(dp.heap) > 0 {
-		w := int(dp.heapPop())
-		c, p := dp.pullNode(w, edgeX, nodeX)
-		if c == dp.cost[w] && p == dp.pred[w] {
-			continue // unchanged: successors cannot be affected through w
-		}
-		dp.cost[w] = c
-		dp.pred[w] = p
-		rem := w
-		for a := 0; a < d; a++ {
-			off := rem / dp.wstr[a]
-			rem %= dp.wstr[a]
-			if off+1 >= dp.wdims[a] {
-				continue
-			}
-			nw := w + dp.wstr[a]
-			if dp.mark[nw] == dp.markEpoch {
-				continue
-			}
-			dp.mark[nw] = dp.markEpoch
-			if pushed++; pushed > maxFrontier {
-				dp.valid = false
-				return false
-			}
-			dp.heapPush(int32(nw))
-		}
-	}
-	return true
-}
 
 // FloorDiv returns floor(a/b) for b > 0 (Go's integer division truncates
 // toward zero, which is wrong for tiling negative w coordinates).

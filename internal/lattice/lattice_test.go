@@ -1,8 +1,10 @@
 package lattice
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +207,21 @@ func TestDPSourceOutsideWindow(t *testing.T) {
 	dp.Run([]int{2}, []int{4}, []int{0}, func(id, a int) float64 { return 0 }, nil)
 	if !math.IsInf(dp.CostAt([]int{3}), 1) {
 		t.Fatal("invalid run should report Inf")
+	}
+
+	// A box with more axes than the kernels' stack scratch holds has no DP.
+	lo, hi := make([]int, maxParAxes+1), make([]int, maxParAxes+1)
+	for i := range hi {
+		hi[i] = 1
+	}
+	wide := NewBox(lo, hi)
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		wide.NewDP()
+	}()
+	if !strings.Contains(msg, "17-axis box") {
+		t.Fatalf("NewDP on a %d-axis box: panic %q, want one naming the axis count", wide.D(), msg)
 	}
 }
 

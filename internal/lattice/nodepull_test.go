@@ -8,9 +8,9 @@ import (
 )
 
 // pushReference computes a window with a push sweep: the closure Run for
-// unbounded runs, and for bounded ones the flat push kernel runFlatGeneric,
-// which gates relaxation on the same bound but shares no code with the pull
-// kernels.
+// unbounded runs, and for bounded ones the flat push kernel runFlatGeneric
+// below, which gates relaxation on the same bound but shares no code with the
+// pull kernels.
 func pushReference(b *Box, winLo, winHi, src []int, edgeX, nodeX []float64, bound float64) *DP {
 	ref := b.NewDP()
 	if bound == Inf {
@@ -28,6 +28,47 @@ func pushReference(b *Box, winLo, winHi, src []int, edgeX, nodeX []float64, boun
 	ref.cost[srcW] = nodeX[b.Index(src)]
 	ref.runFlatGeneric(edgeX, nodeX, bound)
 	return ref
+}
+
+// runFlatGeneric is a serial push sweep over the window (the original RunFlat
+// kernel, with the relaxation cutoff generalized from Inf to bound). It
+// expects resetState and the source seed to have run; pushReference uses it
+// as the bounded oracle.
+func (dp *DP) runFlatGeneric(edgeX, nodeX []float64, bound float64) {
+	d := dp.box.D()
+	pt := dp.pt
+	copy(pt, dp.winLo)
+	boxID := dp.winBoxBase
+	for w := 0; w < dp.wsize; w++ {
+		c := dp.cost[w]
+		if c < bound {
+			base := boxID * d
+			for a := 0; a < d; a++ {
+				if pt[a]+1 >= dp.winHi[a] {
+					continue
+				}
+				nb := boxID + dp.box.stride[a]
+				nw := w + dp.wstr[a]
+				ec := c + edgeX[base+a]
+				if nodeX != nil {
+					ec += nodeX[nb]
+				}
+				if ec < dp.cost[nw] {
+					dp.cost[nw] = ec
+					dp.pred[nw] = int8(a)
+				}
+			}
+		}
+		for a := d - 1; a >= 0; a-- {
+			pt[a]++
+			boxID += dp.box.stride[a]
+			if pt[a] < dp.winHi[a] {
+				break
+			}
+			boxID -= dp.wdims[a] * dp.box.stride[a]
+			pt[a] = dp.winLo[a]
+		}
+	}
 }
 
 // checkNodeRun runs the node-weighted flat kernels — serial, and banded on

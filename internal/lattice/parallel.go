@@ -27,9 +27,9 @@ import (
 	"sync/atomic"
 )
 
-// maxParAxes bounds the dimensionality the parallel and incremental kernels
-// handle with stack scratch; higher-dimensional boxes (unused in practice)
-// fall back to the serial generic kernel.
+// maxParAxes bounds the dimensionality the serial and parallel kernels handle
+// with stack scratch; NewDP rejects higher-dimensional boxes, which nothing
+// in the repository builds.
 const maxParAxes = 16
 
 // DefaultMinWindow is the window-size crossover below which an attached Pool

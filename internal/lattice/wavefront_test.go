@@ -45,8 +45,7 @@ func randomWindow(rng *rand.Rand, b *Box) (winLo, winHi, src []int) {
 // requireIdentical compares the full window state of two DPs bit for bit —
 // cost bits, so a −0/+0 or NaN-payload difference fails too, and
 // predecessors — the contract every alternative kernel (parallel,
-// bounded-below-bound, incremental) must satisfy against the serial
-// reference.
+// bounded-below-bound) must satisfy against the serial reference.
 func requireIdentical(t *testing.T, tag string, ref, got *DP) {
 	t.Helper()
 	if ref.valid != got.valid {
@@ -133,103 +132,6 @@ func TestRunFlatBoundedExact(t *testing.T) {
 					trial, w, bdp.cost[w], bound, ref.cost[w])
 			}
 		}
-	}
-}
-
-// mutateAndSeed applies k random weight changes (edge or node entries) and
-// returns the dirty box-node seeds RerunFlat needs: heads of changed edges,
-// the node itself for changed node weights.
-func mutateAndSeed(rng *rand.Rand, b *Box, edgeX, nodeX []float64, k int) []int {
-	d := b.D()
-	var seeds []int
-	for i := 0; i < k; i++ {
-		if nodeX != nil && rng.Intn(4) == 0 {
-			id := rng.Intn(b.Size())
-			nodeX[id] = rng.Float64() * 0.3
-			seeds = append(seeds, id)
-			continue
-		}
-		for {
-			id := rng.Intn(b.Size())
-			a := rng.Intn(d)
-			head, ok := b.Step(id, a)
-			if !ok {
-				continue // edge leaves the box: weight unused
-			}
-			edgeX[id*d+a] = rng.Float64() * 2
-			seeds = append(seeds, head)
-			break
-		}
-	}
-	return seeds
-}
-
-// TestRerunFlatMatchesCold: after K rounds of sparse random weight changes,
-// incremental re-relaxation must leave the window bit-identical — costs and
-// predecessors — to a cold RunFlat over the mutated weights.
-func TestRerunFlatMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		d := 2 + rng.Intn(2)
-		b, edgeX, nodeX := randomBoxWeights(rng, d, 8)
-		winLo, winHi, src := randomWindow(rng, b)
-		var useNode []float64
-		if trial%2 == 0 {
-			useNode = nodeX
-		}
-		warm := b.NewDP()
-		warm.RunFlat(winLo, winHi, src, edgeX, useNode)
-		if !warm.valid {
-			continue
-		}
-		cold := b.NewDP()
-		for round := 0; round < 6; round++ {
-			seeds := mutateAndSeed(rng, b, edgeX, useNode, 1+rng.Intn(3))
-			if !warm.RerunFlat(seeds, edgeX, useNode, 0) {
-				// Frontier overflow: the documented fallback is a full run.
-				warm.RunFlat(winLo, winHi, src, edgeX, useNode)
-			}
-			cold.RunFlat(winLo, winHi, src, edgeX, useNode)
-			requireIdentical(t, "rerun", cold, warm)
-		}
-	}
-}
-
-// TestRerunFlatOverflowFallback: a tiny maxFrontier must refuse (returning
-// false and invalidating the DP) rather than repair partially, and a full
-// RunFlat must fully recover the state afterwards.
-func TestRerunFlatOverflowFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	b, edgeX, nodeX := randomBoxWeights(rng, 2, 9)
-	dp := b.NewDP()
-	dp.RunFlat(b.Lo, b.Hi, b.Lo, edgeX, nodeX)
-	// Change the first edge out of the source: the dirty region is the whole
-	// reachable cone, guaranteed to blow a frontier cap of 1.
-	head, ok := b.Step(b.Index(b.Lo), 0)
-	if !ok {
-		t.Fatal("degenerate box")
-	}
-	edgeX[b.Index(b.Lo)*2] += 1.5
-	if dp.RerunFlat([]int{head}, edgeX, nodeX, 1) {
-		t.Fatal("frontier cap 1 should overflow")
-	}
-	if dp.valid {
-		t.Fatal("overflow must invalidate the DP")
-	}
-	cold := b.NewDP()
-	cold.RunFlat(b.Lo, b.Hi, b.Lo, edgeX, nodeX)
-	dp.RunFlat(b.Lo, b.Hi, b.Lo, edgeX, nodeX)
-	requireIdentical(t, "recover", cold, dp)
-}
-
-// TestRerunFlatRequiresFlatRun: closure-based Run leaves no flat weights to
-// pull from, so RerunFlat must refuse.
-func TestRerunFlatRequiresFlatRun(t *testing.T) {
-	b := NewBox([]int{0, 0}, []int{4, 4})
-	dp := b.NewDP()
-	dp.Run(b.Lo, b.Hi, b.Lo, func(id, a int) float64 { return 1 }, nil)
-	if dp.RerunFlat([]int{1}, make([]float64, b.Size()*2), nil, 0) {
-		t.Fatal("RerunFlat after closure Run must return false")
 	}
 }
 

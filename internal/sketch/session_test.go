@@ -87,68 +87,3 @@ func TestSessionsIndependent(t *testing.T) {
 		t.Fatal("s1 re-query diverges after interleaving")
 	}
 }
-
-// TestSessionWarmStartParity drives a warm-start session and a cold session
-// through the same query/commit sequence and requires identical routes. The
-// sequence deliberately hits every warm path: repeated identical queries
-// with no commit between them (version delta 0 — the DP is skipped
-// entirely), re-queries of the same window right after an accepted commit
-// (delta 1 — incremental RerunFlat), window changes (cache miss), and long
-// streaks that saturate edges (reject after reject, still delta 0).
-func TestSessionWarmStartParity(t *testing.T) {
-	st, down, _ := lineSetup(32, 3, 3, 200, 4)
-	pkWarm := ipp.NewDense(50, down.Cap, down.Universe())
-	pkCold := ipp.NewDense(50, down.Cap, down.Universe())
-	warm := down.NewSession()
-	cold := down.NewSession()
-	cold.SetWarmStart(false)
-	var ow, oc Route
-
-	queries := make([]*grid.Request, 0, 240)
-	for q := 0; q < 40; q++ {
-		r := &grid.Request{
-			Src: grid.Vec{q % 6}, Dst: grid.Vec{10 + q%18},
-			Arrival: int64(q / 3), Deadline: grid.InfDeadline,
-		}
-		// Each request repeats several times in a row: the repeats after an
-		// accept are the delta-1 incremental path, the repeats after a reject
-		// are the delta-0 skip path.
-		for rep := 0; rep < 6; rep++ {
-			queries = append(queries, r)
-		}
-	}
-	accepted := 0
-	for qi, r := range queries {
-		src := st.SourcePoint(r)
-		wLo, wHi := st.DestRay(r)
-		okW := warm.LightestRouteInto(pkWarm, src, r.Dst, wLo, wHi, 50, &ow)
-		okC := cold.LightestRouteInto(pkCold, src, r.Dst, wLo, wHi, 50, &oc)
-		if okW != okC {
-			t.Fatalf("query %d: warm ok=%v cold ok=%v", qi, okW, okC)
-		}
-		if okW {
-			if !reflect.DeepEqual(ow.Tiles, oc.Tiles) || !reflect.DeepEqual(ow.Axes, oc.Axes) ||
-				!reflect.DeepEqual(ow.Edges, oc.Edges) || ow.Cost != oc.Cost {
-				t.Fatalf("query %d: warm route diverges from cold:\nwarm %+v\ncold %+v", qi, ow, oc)
-			}
-			accW := pkWarm.Offer(ow.Edges, ow.Cost)
-			accC := pkCold.Offer(oc.Edges, oc.Cost)
-			if accW != accC {
-				t.Fatalf("query %d: packers diverge: warm accept=%v cold=%v", qi, accW, accC)
-			}
-			if accW {
-				accepted++
-			}
-		} else {
-			pkWarm.Offer(nil, 0)
-			pkCold.Offer(nil, 0)
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("no accepts: the delta-1 incremental path was never exercised")
-	}
-	if pkWarm.Version() != pkCold.Version() || pkWarm.Accepted() != pkCold.Accepted() {
-		t.Fatalf("packer states diverged: warm v%d/%d cold v%d/%d",
-			pkWarm.Version(), pkWarm.Accepted(), pkCold.Version(), pkCold.Accepted())
-	}
-}

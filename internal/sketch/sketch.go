@@ -84,7 +84,8 @@ func New(st *spacetime.Graph, tl *tiling.Tiling, mode Mode) *Graph {
 // persistent Graph: the lattice DP and the coordinate scratch buffers. A
 // Session is reusable across any number of queries and grows its buffers
 // once; it is not safe for concurrent use, but distinct Sessions of the same
-// Graph are independent.
+// Graph are independent. Every query solves its window afresh with one
+// RunFlat: no DP state carries over from one query to the next.
 type Session struct {
 	g  *Graph
 	dp *lattice.DP
@@ -101,21 +102,6 @@ type Session struct {
 	// Prepared-query geometry (PrepareQuery): the destination ray on the w
 	// axis, inclusive, in tile coordinates.
 	rayLo, rayHi int
-
-	// Warm-start cache (dense packers only): the DP solution of the last
-	// query stays valid while the packer's version is unchanged, and repairs
-	// incrementally when exactly one path committed since — the committed
-	// edges (ipp.LastCommitted) seed a re-relaxation frontier instead of a
-	// full window sweep. Any window/source/packer mismatch, a multi-commit
-	// delta, or a frontier overflow falls back to the full RunFlat.
-	warm      bool
-	lastPk    *ipp.Packer
-	lastVer   uint64
-	lastWinLo []int
-	lastWinHi []int
-	lastSrc   []int
-	lastValid bool
-	dirtyBuf  []int
 }
 
 // NewSession creates a fresh query session over the graph.
@@ -129,73 +115,13 @@ func (g *Graph) NewSession() *Session {
 		winHi:   make([]int, g.axes),
 		probe:   make([]int, g.axes),
 		snapCur: make([]int, g.axes),
-
-		warm:      true,
-		lastWinLo: make([]int, g.axes),
-		lastWinHi: make([]int, g.axes),
-		lastSrc:   make([]int, g.axes),
 	}
-}
-
-// SetWarmStart toggles incremental DP reuse between successive queries
-// (default on). Warm and cold sessions answer every query identically — the
-// incremental repair is bit-exact — so this exists for benchmarks, parity
-// tests, and as an escape hatch.
-func (s *Session) SetWarmStart(on bool) {
-	s.warm = on
-	s.lastValid = false
 }
 
 // SetDPPool attaches a wavefront worker pool to the session's DP: queries
 // whose windows clear the pool's crossover run the relaxation in parallel,
 // bit-identically to the serial sweep.
 func (s *Session) SetDPPool(p *lattice.Pool) { s.dp.SetPool(p) }
-
-func equalInts(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// warmRun tries to satisfy the current query (window/source already in
-// s.winLo/s.winHi/s.srcTile) from the cached DP solution. It reports true
-// when the cached state is current — either untouched (version delta 0: skip
-// the DP entirely) or repaired in place via RerunFlat (delta 1). False means
-// the caller must run the full sweep.
-//
-//gridroute:hotpath
-func (s *Session) warmRun(pk *ipp.Packer, xs, nodeX []float64) bool {
-	if !s.warm || !s.lastValid || pk != s.lastPk ||
-		!equalInts(s.lastWinLo, s.winLo) || !equalInts(s.lastWinHi, s.winHi) ||
-		!equalInts(s.lastSrc, s.srcTile) {
-		return false
-	}
-	switch pk.Version() - s.lastVer {
-	case 0:
-		return true // no commit since: weights, and so the solution, unchanged
-	case 1:
-		seeds := s.dirtyBuf[:0]
-		for _, e := range pk.LastCommitted() {
-			tile, axis, interior := s.g.DecodeEdge(e)
-			if interior {
-				// Interior (node) weight: every path through the tile repays
-				// its visit cost, so the tile's own value is dirty.
-				seeds = append(seeds, tile)
-				continue
-			}
-			if head, ok := s.g.Tl.TBox.Step(tile, axis); ok {
-				seeds = append(seeds, head)
-			}
-		}
-		s.dirtyBuf = seeds
-		return s.dp.RerunFlat(seeds, xs, nodeX, 0)
-	default:
-		return false
-	}
-}
 
 // Universe returns the size of the sketch graph's ipp edge-id space:
 // TBox.Size()·axes inter-tile edges followed by TBox.Size() interior edges.
@@ -391,33 +317,7 @@ func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec
 	if !s.PrepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
-	g := s.g
-	if xs := pk.Weights(); xs != nil {
-		// Dense packer: AxisEdgeID(id, a) = id·axes+a matches RunFlat's edge
-		// layout, and the interior-edge weights form the contiguous tail of
-		// the universe — exactly RunFlat's node-weight slice.
-		var nodeX []float64
-		if g.Mode == Downscaled {
-			nodeX = xs[g.Tl.TBox.Size()*g.axes:]
-		}
-		if !s.warmRun(pk, xs, nodeX) {
-			s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
-		}
-		if s.warm {
-			s.lastPk, s.lastVer, s.lastValid = pk, pk.Version(), true
-			copy(s.lastWinLo, s.winLo)
-			copy(s.lastWinHi, s.winHi)
-			copy(s.lastSrc, s.srcTile)
-		}
-	} else {
-		var nodeW lattice.NodeWeight
-		if g.Mode == Downscaled {
-			nodeW = func(id int) float64 { return pk.Weight(g.InteriorEdgeID(id)) } //gridlint:allow closure-mode fallback: cold path, flat kernels serve steady state
-		}
-		edgeW := func(id, a int) float64 { return pk.Weight(g.AxisEdgeID(id, a)) } //gridlint:allow closure-mode fallback: cold path, flat kernels serve steady state
-		s.dp.Run(s.winLo, s.winHi, s.srcTile, edgeW, nodeW)
-		s.lastValid = false // closure runs leave no flat state to warm-start
-	}
+	s.runWindow(pk.Weights())
 	return s.extractRoute(out)
 }
 
@@ -427,7 +327,7 @@ func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec
 func (s *Session) Window() (lo, hi []int) { return s.winLo, s.winHi }
 
 // SnapshotWindow copies the weight rows covered by the prepared window from
-// the dense packer weight slice `from` into the caller's snapshot buffer
+// the packer weight slice `from` into the caller's snapshot buffer
 // `into` (both laid out over the full edge universe, Universe() long). Only
 // the window's rows are touched, so a snapshot costs O(window), not
 // O(universe). The axis-edge weights of a contiguous last-axis run of tiles
@@ -465,34 +365,37 @@ func (s *Session) SnapshotWindow(from, into []float64) {
 }
 
 // LightestRouteMasked is LightestRouteInto under a resource-outage mask: the
-// query is solved over a snapshot of the dense packer weights in which every
+// query is solved over a snapshot of the packer weights in which every
 // blocked edge id costs +Inf, so no route can traverse a failed resource.
 // Reported costs remain true live costs — a masked edge can only appear on an
 // infinite-cost route, which extraction rejects. buf must be Universe() long;
 // only the prepared window's rows are (re)written per call, and entries
 // outside the window may hold stale values from earlier calls — the DP never
-// reads outside the window, so they are harmless. Requires a dense packer.
-// The session's warm cache is invalidated: the DP state now reflects masked,
-// not live, weights.
+// reads outside the window, so they are harmless.
 func (s *Session) LightestRouteMasked(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, blocked []ipp.EdgeID, buf []float64, out *Route) bool {
 	if !s.PrepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
-	xs := pk.Weights()
-	if xs == nil {
-		panic("sketch: LightestRouteMasked requires a dense packer")
-	}
-	s.SnapshotWindow(xs, buf)
+	s.SnapshotWindow(pk.Weights(), buf)
 	for _, e := range blocked {
 		buf[e] = math.Inf(1)
 	}
+	s.runWindow(buf)
+	return s.extractRoute(out)
+}
+
+// runWindow solves the prepared window over xs, a weight slice laid out over
+// the full edge universe: AxisEdgeID(id, a) = id·axes+a matches RunFlat's
+// edge layout, and the interior-edge weights form the contiguous tail of the
+// universe — exactly RunFlat's node-weight slice.
+//
+//gridroute:hotpath
+func (s *Session) runWindow(xs []float64) {
 	var nodeX []float64
 	if s.g.Mode == Downscaled {
-		nodeX = buf[s.g.Tl.TBox.Size()*s.g.axes:]
+		nodeX = xs[s.g.Tl.TBox.Size()*s.g.axes:]
 	}
-	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, buf, nodeX)
-	s.lastValid = false
-	return s.extractRoute(out)
+	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
 }
 
 // routeInto materializes a DP path as a sketch Route, reusing out's slices.
