@@ -154,12 +154,12 @@ func TestEngineAdmitWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestEngineAdmitWarmStartAllocFree: the warm admit path stays 0-alloc when
-// consecutive queries differ. Admits alternate between the saturating packet
-// and a second one inside the saturated segment, so no query can reuse the
-// previous one's DP state: every admit relaxes its own window from scratch on
-// the session's pre-sized buffers.
-func TestEngineAdmitWarmStartAllocFree(t *testing.T) {
+// TestEngineAdmitAlternatingAllocFree: the admit path stays 0-alloc when
+// consecutive packets differ. Admits alternate between the saturating packet
+// and a second one inside the saturated segment, so every admit relaxes a
+// different window than the one before it, on the session's pre-sized
+// buffers.
+func TestEngineAdmitAlternatingAllocFree(t *testing.T) {
 	skipIfRace(t)
 	eng, pkt := saturateEngine(t, engine.Options{})
 	ctx := context.Background()

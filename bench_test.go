@@ -13,6 +13,7 @@ package gridroute
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 
 	"gridroute/internal/baseline"
 	"gridroute/internal/core"
+	"gridroute/internal/detroute"
 	"gridroute/internal/engine"
 	"gridroute/internal/experiments"
 	"gridroute/internal/grid"
@@ -29,6 +31,7 @@ import (
 	"gridroute/internal/optbound"
 	"gridroute/internal/render"
 	"gridroute/internal/scenario"
+	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 	"gridroute/internal/tiling"
 )
@@ -323,6 +326,83 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
+	})
+}
+
+// BenchmarkDrain measures the two serial layers of the post-stream drain on
+// one fixed instance (uniform traffic on a 1024-node line, streamed through
+// the engine once during setup), each reported per packet-step:
+// DetrouteRun is detailed routing over the admitted set (ns per move any
+// packet made), IncrementalReplay verifies every delivered schedule on a
+// fresh netsim.Incremental, as cmd/routed does (ns per schedule step). The
+// family is outside the perf gate's benchmark regexp, so it is advisory.
+func BenchmarkDrain(b *testing.B) {
+	g, reqs, err := scenario.Generate("uniform", map[string]float64{"n": 1024, "d": 1, "reqs": 1000, "seed": 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := engine.New(g, engine.Options{
+		Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g),
+		Queue: 1, ExpectPackets: len(reqs),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := range reqs {
+		pkt := engine.PacketOf(&reqs[i])
+		pkt.Seq = i
+		if _, err := eng.Admit(ctx, pkt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Drain(ctx); err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("DetrouteRun", func(b *testing.B) {
+		b.ReportAllocs()
+		// The engine's lattice and tiling: square tiles of side k, no phase
+		// shift.
+		st := spacetime.New(g, res.Horizon)
+		tl := tiling.New(st.Box, []int{res.K, res.K}, []int{0, 0})
+		rt := detroute.New(st, sketch.New(st, tl, sketch.Downscaled))
+		steps := 0
+		for _, o := range res.Outcomes {
+			steps += len(o.Path.Axes)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, stats := rt.Run(res.Admitted); stats != res.RouteStats {
+				b.Fatalf("rerun stats %+v, engine %+v", stats, res.RouteStats)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(steps), "ns/packet-step")
+	})
+	b.Run("IncrementalReplay", func(b *testing.B) {
+		b.ReportAllocs()
+		minT, maxT, steps := int64(math.MaxInt64), int64(0), 0
+		for _, s := range res.Schedules {
+			if s != nil {
+				minT = min(minT, s.StartT)
+				maxT = max(maxT, s.StartT+int64(len(s.Moves)))
+				steps += len(s.Moves)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			inc := netsim.NewIncremental(g, netsim.Model1, minT, maxT)
+			for j, s := range res.Schedules {
+				inc.Add(res.Admitted[j].Req, s)
+			}
+			if len(inc.Violations()) != 0 {
+				b.Fatalf("violations: %v", inc.Violations())
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(steps), "ns/packet-step")
 	})
 }
 

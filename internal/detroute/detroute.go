@@ -143,6 +143,12 @@ type pkt struct {
 	// pending is the axis claimed for the current step (-1: not yet).
 	pending int
 
+	// tile is the dense id (in the tiling's TBox) of the tile holding pos,
+	// and toff the within-tile offset of pos; both are computed once at
+	// injection and then follow each move.
+	tile int
+	toff []int
+
 	routeIdx  int // index into route.Tiles of the current tile
 	firstBend int // tile index of the first bend (-1 if none)
 	lastBend  int // tile index of the last bend (-1 if none)
@@ -188,6 +194,7 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	d := rt.ST.G.D()
 	axes := d + 1
 	box := rt.ST.Box
+	tl := rt.SK.Tl
 	if len(rt.tileBuf) < axes {
 		rt.tileBuf = make([]int, axes)
 		rt.tcBuf = make([]int, axes)
@@ -195,6 +202,7 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	}
 
 	all := make([]*pkt, len(admitted))
+	offs := make([]int, len(admitted)*axes)
 	for i := range admitted {
 		a := &admitted[i]
 		p := &pkt{
@@ -204,6 +212,8 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 		}
 		p.pos = rt.ST.ToLattice(a.Req.Src, a.Req.Arrival, nil)
 		p.node = box.Index(p.pos)
+		p.tile = tl.TBox.Index(tl.TileOf(p.pos, rt.tileBuf))
+		p.toff = tl.Offset(p.pos, offs[i*axes:(i+1)*axes:(i+1)*axes])
 		p.start = append([]int(nil), p.pos...)
 		if n := rt.ST.G.Dist(a.Req.Src, a.Req.Dst); n > 0 {
 			p.moves = make([]uint8, 0, n)
@@ -322,6 +332,10 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 			}
 			p.node += box.Stride(a)
 			p.pos[a]++
+			if p.toff[a]++; p.toff[a] == tl.Side[a] {
+				p.toff[a] = 0
+				p.tile += tl.TBox.Stride(a)
+			}
 			p.moves = append(p.moves, uint8(a))
 			p.arrivedVia = a
 			if rt.arrive(p, &stats, drop) {
@@ -360,14 +374,12 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 // arrive processes a packet that just landed on p.pos (or was injected).
 // It returns false when the packet left the system (delivered or dropped).
 func (rt *Router) arrive(p *pkt, stats *Stats, drop func(*pkt, Part, bool)) bool {
-	tl := rt.SK.Tl
 	tiles := p.route.Tiles
-	cur := tl.TBox.Index(tl.TileOf(p.pos, rt.tileBuf))
 
 	// Advance along the tile sequence; leaving it is an overrun.
-	if p.routeIdx+1 < len(tiles) && cur == tiles[p.routeIdx+1] {
+	if p.routeIdx+1 < len(tiles) && p.tile == tiles[p.routeIdx+1] {
 		p.routeIdx++
-	} else if cur != tiles[p.routeIdx] {
+	} else if p.tile != tiles[p.routeIdx] {
 		drop(p, p.part(), true)
 		return false
 	}

@@ -54,12 +54,15 @@ func outcomeDigest(outs []detroute.Outcome, stats detroute.Stats) uint64 {
 	return h.Sum64()
 }
 
-// TestRunOutcomeDigests pins the detailed-routing outcomes of two scenario
+// TestRunOutcomeDigests pins the detailed-routing outcomes of scenario
 // instances, streamed through the engine as cmd/routed does, to fixed
 // digests: any change to which packets are delivered, when, where the
 // others were dropped, or which path any packet walked changes them. The
-// digests were recorded while the router still grouped packets by lattice
-// node; grouping by grid node must not move them.
+// first two cases use hand-picked parameters; the rest cover every
+// registered scenario the engine accepts at its default parameters (d = 1,
+// 2 and 3, with and without deadlines). The digests were recorded while the
+// router still recomputed each packet's tile from its lattice point on
+// every step; tracking the tile incrementally must not move them.
 func TestRunOutcomeDigests(t *testing.T) {
 	cases := []struct {
 		scenario string
@@ -71,38 +74,82 @@ func TestRunOutcomeDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario, func(t *testing.T) {
-			g, reqs, err := scenario.Generate(tc.scenario, tc.params)
-			if err != nil {
-				t.Fatal(err)
+			got, ok := routeDigest(t, tc.scenario, tc.params)
+			if !ok {
+				t.Fatal("engine rejected the instance")
 			}
-			eng, err := engine.New(g, engine.Options{
-				Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g),
-				Queue: 1, ExpectPackets: len(reqs),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			for i := range reqs {
-				pkt := engine.PacketOf(&reqs[i])
-				pkt.Seq = i
-				if _, err := eng.Admit(ctx, pkt); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := eng.Drain(ctx); err != nil {
-				t.Fatal(err)
-			}
-			res, err := eng.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.RouteStats.Injected == 0 || res.RouteStats.Delivered == 0 {
-				t.Fatalf("degenerate instance: %+v", res.RouteStats)
-			}
-			if got := outcomeDigest(res.Outcomes, res.RouteStats); got != tc.want {
-				t.Fatalf("outcome digest %#016x, want %#016x (stats %+v)", got, tc.want, res.RouteStats)
+			if got != tc.want {
+				t.Fatalf("outcome digest %#016x, want %#016x", got, tc.want)
 			}
 		})
 	}
+	// Default-parameter digests, one per registered scenario the engine
+	// accepts; the engine rejects the others' grids (B or c below 3). A
+	// newly registered scenario fails until its digest is pinned here.
+	defaults := map[string]uint64{
+		"bit-reversal":        0x36bf9c514518f95d,
+		"convoy-rate":         0x388f8b6fe76a5145,
+		"crossbar":            0x9f092d0bd3469614,
+		"heavy-pareto":        0x113c9517fabce671,
+		"hotspot":             0x8e07e46cf88c7188,
+		"lattice3d-hotspot":   0xb0a8e505895b7fc8,
+		"lattice3d-uniform":   0x5cae21395a120e73,
+		"markov-onoff":        0x726134a81bdfa787,
+		"permutation":         0x6b287bee93214863,
+		"saturating":          0x5146c20d764decda,
+		"saturating-deadline": 0x05503627cc7e1f30,
+		"transpose":           0xcdf021e0024250eb,
+		"uniform":             0xde0df470db169991,
+		"uniform-deadline":    0xcd859fbe28b5e73a,
+		"zipf-hotspot":        0x8f2ff0f32327b84d,
+	}
+	for _, id := range scenario.IDs() {
+		t.Run(id+"-default", func(t *testing.T) {
+			got, ok := routeDigest(t, id, nil)
+			want, pinned := defaults[id]
+			switch {
+			case ok != pinned:
+				t.Fatalf("engine accepts=%v but digest pinned=%v (digest %#016x)", ok, pinned, got)
+			case ok && got != want:
+				t.Fatalf("outcome digest %#016x, want %#016x", got, want)
+			}
+		})
+	}
+}
+
+// routeDigest streams a scenario instance through the engine, runs
+// detailed routing and returns the outcome digest. ok is false when the
+// engine rejects the instance's grid.
+func routeDigest(t *testing.T, id string, params map[string]float64) (digest uint64, ok bool) {
+	t.Helper()
+	g, reqs, err := scenario.Generate(id, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(g, engine.Options{
+		Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g),
+		Queue: 1, ExpectPackets: len(reqs),
+	})
+	if err != nil {
+		return 0, false
+	}
+	ctx := context.Background()
+	for i := range reqs {
+		pkt := engine.PacketOf(&reqs[i])
+		pkt.Seq = i
+		if _, err := eng.Admit(ctx, pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RouteStats.Injected == 0 || res.RouteStats.Delivered == 0 {
+		t.Fatalf("degenerate instance: %+v", res.RouteStats)
+	}
+	return outcomeDigest(res.Outcomes, res.RouteStats), true
 }

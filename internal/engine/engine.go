@@ -669,9 +669,9 @@ func (e *Engine) deliver(p *pending, d Decision) {
 	e.pool.Put(p)
 }
 
-// decide is the warm admit path: one sketch lightest-route query plus one
-// packer offer, mirroring the batch loop body of the deterministic
-// algorithm. It is allocation-free in steady state.
+// decide is the admit path of the consumer loop: one sketch lightest-route
+// query plus one packer offer, mirroring the batch loop body of the
+// deterministic algorithm. It is allocation-free in steady state.
 //
 //gridroute:deterministic
 //gridroute:hotpath

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"gridroute/internal/grid"
@@ -181,6 +183,99 @@ func TestLinkLayoutWindowEdges(t *testing.T) {
 					t.Fatalf("model %v %s violations %q, want %q", model, name, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestIncrementalCounterSaturates overloads one link and one buffer slot
+// past the 2-byte counter range: the counts stop at math.MaxUint16 instead
+// of wrapping back under capacity, so every further add is still flagged.
+func TestIncrementalCounterSaturates(t *testing.T) {
+	const adds = math.MaxUint16 + 10
+	g := grid.Line(4, 3, 3)
+	r := grid.Request{ID: 0, Src: grid.Vec{0}, Dst: grid.Vec{1}, Arrival: 0, Deadline: grid.InfDeadline}
+	s := mkSchedule(&r, spacetime.Hold, 0)
+	inc := NewIncremental(g, Model1, 0, 2)
+	for i := 0; i < adds; i++ {
+		if o := inc.Add(&r, s); o.Kind != Delivered {
+			t.Fatalf("add %d: outcome %+v", i, o)
+		}
+	}
+	if inc.MaxLink() != math.MaxUint16 || inc.MaxBuffer() != math.MaxUint16 {
+		t.Fatalf("peaks (%d,%d), want both %d", inc.MaxBuffer(), inc.MaxLink(), math.MaxUint16)
+	}
+	// One buffer and one link violation per add beyond capacity 3.
+	if got, want := len(inc.Violations()), 2*(adds-3); got != want {
+		t.Fatalf("%d violations, want %d", got, want)
+	}
+	last := inc.Violations()[len(inc.Violations())-1]
+	if want := fmt.Sprintf("link capacity exceeded: node 0 axis 0 t=1: %d > 3", math.MaxUint16); last != want {
+		t.Fatalf("last violation %q, want %q", last, want)
+	}
+}
+
+// TestIncrementalResetClearsDirtyCounters dirties a verifier, then Resets it
+// to a smaller window (reusing and clearing a prefix of its arrays) and to
+// the original one again (growing back over cells the small Reset left
+// dirty): both start from zero and replay the same traffic to the same
+// peaks. A Reset to a larger window allocates fresh arrays and starts from
+// zero too. Each fill ends at the top of its window, so it dirties the cells
+// at the far end of the arrays.
+func TestIncrementalResetClearsDirtyCounters(t *testing.T) {
+	g := grid.Line(8, 3, 3)
+	fill := func(inc *Incremental, maxT int64) {
+		t.Helper()
+		base := maxT - 10
+		for i := 0; i < 6; i++ {
+			r := &grid.Request{ID: i, Src: grid.Vec{3 + i%3}, Dst: grid.Vec{7}, Arrival: base + int64(i), Deadline: grid.InfDeadline}
+			s := mkSchedule(r, spacetime.Hold)
+			for x := r.Src[0]; x < r.Dst[0]; x++ {
+				s.Moves = append(s.Moves, 0)
+			}
+			if o := inc.Add(r, s); o.Kind != Delivered {
+				t.Fatalf("req %d: outcome %+v", i, o)
+			}
+		}
+	}
+	zero := func(inc *Incremental, what string) {
+		t.Helper()
+		if inc.Added() != 0 || inc.MaxBuffer() != 0 || inc.MaxLink() != 0 || len(inc.Violations()) != 0 {
+			t.Fatalf("%s: residual state", what)
+		}
+		for name, c := range map[string]tally{"links": inc.links, "bufs": inc.bufs} {
+			for i, n := range c {
+				if n != 0 {
+					t.Fatalf("%s: %s counter %d = %d", what, name, i, n)
+				}
+			}
+		}
+	}
+
+	inc := NewIncremental(g, Model1, 0, 20)
+	fill(inc, 20)
+	peakBuf, peakLink := inc.MaxBuffer(), inc.MaxLink()
+	if peakBuf == 0 || peakLink == 0 || len(inc.Violations()) != 0 {
+		t.Fatalf("fill: peaks (%d,%d) violations %v", peakBuf, peakLink, inc.Violations())
+	}
+	for _, w := range []struct {
+		what  string
+		maxT  int64
+		fresh bool
+	}{
+		{"smaller window", 12, false},
+		{"original window", 20, false},
+		{"larger window", 60, true},
+	} {
+		links := inc.links
+		inc.Reset(0, w.maxT)
+		if fresh := &inc.links[0] != &links[0]; fresh != w.fresh {
+			t.Fatalf("%s: fresh arrays %v, want %v", w.what, fresh, w.fresh)
+		}
+		zero(inc, w.what)
+		fill(inc, w.maxT)
+		if inc.MaxBuffer() != peakBuf || inc.MaxLink() != peakLink || len(inc.Violations()) != 0 {
+			t.Fatalf("%s: peaks (%d,%d) violations %v, want (%d,%d) and none",
+				w.what, inc.MaxBuffer(), inc.MaxLink(), inc.Violations(), peakBuf, peakLink)
 		}
 	}
 }

@@ -28,6 +28,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -355,10 +356,13 @@ func (rp *Replayer) presenceWalk(g *grid.Grid, req *grid.Request, s *spacetime.S
 // occupancy state — the replay mode of the streaming engine, which learns of
 // accepted packets one admit at a time and cannot batch them first. The
 // occupancy universe spans a fixed time window chosen up front (the engine
-// knows its horizon), so adding a schedule is a single walk bumping the same
-// dense link/buffer counters, in the same untilted link layout, that batch
-// replay uses: the links of a straight run lie one grid stride apart, so a
-// walk touches a few pages instead of one per hop.
+// knows its horizon), so adding a schedule is a single walk bumping dense
+// link/buffer counters in the same untilted link layout that batch replay
+// uses: the links of a straight run lie one grid stride apart, so a walk
+// touches a few pages instead of one per hop. The counters are saturating
+// 2-byte tallies with no epoch stamps or touched list, because Incremental
+// only ever reads the count it has just bumped. So a warm Reset clears its
+// reused arrays in O(window) rather than bumping an epoch in O(1).
 //
 // Capacity violations are detected at the moment a counter first exceeds its
 // capacity, so the violation strings name the offending count at that
@@ -372,8 +376,8 @@ type Incremental struct {
 	width int
 	lc    linkCells
 
-	links dense.Counts
-	bufs  dense.Counts
+	links tally
+	bufs  tally
 	pos   grid.Vec
 
 	added      int
@@ -391,8 +395,10 @@ func NewIncremental(g *grid.Grid, model Model, minT, maxT int64) *Incremental {
 	return inc
 }
 
-// Reset rewinds the verifier to an empty occupancy state over a new window,
-// reusing its buffers (a warm Incremental resets without allocating).
+// Reset rewinds the verifier to an empty occupancy state over a new window.
+// It reuses and clears its counter arrays when they are large enough (a warm
+// Incremental resets without allocating, in time linear in the window) and
+// allocates fresh, already-zero ones otherwise.
 func (inc *Incremental) Reset(minT, maxT int64) {
 	if maxT < minT {
 		maxT = minT
@@ -400,8 +406,8 @@ func (inc *Incremental) Reset(minT, maxT int64) {
 	inc.minT = minT
 	inc.width = int(maxT-minT) + 1
 	inc.lc = newLinkCells(inc.g, minT)
-	inc.links.Reset(inc.lc.size(inc.width))
-	inc.bufs.Reset(inc.g.N() * inc.width)
+	inc.links = inc.links.reset(inc.lc.size(inc.width))
+	inc.bufs = inc.bufs.reset(inc.g.N() * inc.width)
 	inc.added = 0
 	inc.maxBuffer, inc.maxLink = 0, 0
 	inc.violations = inc.violations[:0]
@@ -442,7 +448,7 @@ func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
 				inc.bumpBuf(req.ID, node, t)
 			}
 		} else {
-			n := inc.links.Add(inc.lc.index(node, sum, int(m), t), 1)
+			n := inc.links.add(inc.lc.index(node, sum, int(m), t))
 			if n > inc.maxLink {
 				inc.maxLink = n
 			}
@@ -469,7 +475,7 @@ func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
 }
 
 func (inc *Incremental) bumpBuf(reqID, node int, t int64) {
-	n := inc.bufs.Add(node*inc.width+int(t-inc.minT), 1)
+	n := inc.bufs.add(node*inc.width + int(t-inc.minT))
 	if n > inc.maxBuffer {
 		inc.maxBuffer = n
 	}
@@ -477,6 +483,35 @@ func (inc *Incremental) bumpBuf(reqID, node int, t int64) {
 		inc.violations = append(inc.violations,
 			fmt.Sprintf("buffer exceeded: node %d t=%d: %d > %d (adding req %d)", node, t, n, inc.g.B, reqID))
 	}
+}
+
+// tally is a flat array of saturating occupancy counters.
+type tally []uint16
+
+// reset returns a zeroed tally of n counters, reusing c when it is large
+// enough. A fresh array is never cleared: make already zeroes it, and
+// clearing would fault in every page of a window the replay mostly skips.
+func (c tally) reset(n int) tally {
+	if cap(c) < n {
+		return make(tally, n)
+	}
+	c = c[:n]
+	clear(c)
+	return c
+}
+
+// add bumps counter i and returns its new value; a counter saturates at
+// math.MaxUint16 rather than wrapping, so an overflowing cell keeps reading
+// as over capacity.
+//
+//gridroute:hotpath
+func (c tally) add(i int) int {
+	n := c[i]
+	if n < math.MaxUint16 {
+		n++
+		c[i] = n
+	}
+	return int(n)
 }
 
 // Added returns the number of schedules replayed so far.
